@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks of the linear-algebra kernels that dominate
-//! the C-BMF runtime profile.
+//! Criterion micro-benchmarks of the small linear-algebra kernels. The
+//! paper-scale serial-vs-parallel kernels are the `kernels` report of
+//! `ci_gate` (`cbmf_bench::kernels`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -47,48 +48,9 @@ fn bench_matmul(c: &mut Criterion) {
     }
 }
 
-/// Serial-vs-parallel comparison of the kernels that dominate the C-BMF
-/// profile, at the paper's LNA scale: a dictionary of M ≈ 1300 bases over
-/// K = 8 states with n = 100–1000 samples per state. Each kernel is timed
-/// under `with_threads(1)` and at the machine's full width; the results are
-/// bitwise identical (see the workspace determinism tests), so this is a
-/// pure scheduling comparison.
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let threads = cbmf_parallel::max_threads();
-    // Gram of the transposed design matrix: BᵀB with B 100×1300, the cached
-    // per-state product behind every greedy sweep.
-    let bt = Matrix::from_fn(1300, 100, |i, j| {
-        ((i * 7 + j * 13) % 29) as f64 / 29.0 - 0.5
-    });
-    for (label, t) in [("serial", 1usize), ("parallel", threads)] {
-        c.bench_function(&format!("gram_1300x100_{label}"), |bch| {
-            bch.iter(|| cbmf_parallel::with_threads(t, || bt.gram()))
-        });
-    }
-    // Observation-space product at NK = K·n = 800 (n = 100 per state).
-    let a = Matrix::from_fn(800, 800, |i, j| ((i + 2 * j) % 17) as f64);
-    let b_mat = Matrix::from_fn(800, 800, |i, j| ((3 * i + j) % 13) as f64);
-    for (label, t) in [("serial", 1usize), ("parallel", threads)] {
-        c.bench_function(&format!("matmul_800_{label}"), |bch| {
-            bch.iter(|| cbmf_parallel::with_threads(t, || a.matmul(&b_mat).expect("shapes")))
-        });
-        c.bench_function(&format!("matmul_t_800_{label}"), |bch| {
-            bch.iter(|| cbmf_parallel::with_threads(t, || a.matmul_t(&b_mat).expect("shapes")))
-        });
-    }
-    // Multi-RHS solve against the factored NK-dimensional covariance.
-    let chol = Cholesky::new(&spd(800)).expect("spd");
-    let rhs = Matrix::from_fn(800, 128, |i, j| ((i * 5 + j * 11) % 19) as f64 - 9.0);
-    for (label, t) in [("serial", 1usize), ("parallel", threads)] {
-        c.bench_function(&format!("cholesky_solve_mat_800x128_{label}"), |bch| {
-            bch.iter(|| cbmf_parallel::with_threads(t, || chol.solve_mat(&rhs).expect("solve")))
-        });
-    }
-}
-
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_cholesky, bench_matmul, bench_parallel_speedup
+    targets = bench_cholesky, bench_matmul
 }
 criterion_main!(kernels);

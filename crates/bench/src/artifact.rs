@@ -13,21 +13,19 @@
 //!
 //! The acceptance bar is the [`MIN_BINARY_SPEEDUP`]× **load** speedup
 //! (minimum JSON load time over minimum binary load time, same host, same
-//! bytes): it is asserted on the committed baseline by a unit test here and
-//! enforced on fresh runs by `gate_artifact` in the `ci_gate` binary. As in
-//! every min-time suite, the **minimum** over repetitions is the gated
-//! statistic and the document is canonical sorted-key JSON.
+//! bytes): a `floor` row of the report, asserted on the committed baseline
+//! by a unit test here and on fresh runs by the `ci_gate` binary, next to
+//! a `floor` row demanding the binary encoding be at least one byte
+//! smaller than the JSON one. As in every timed suite, the **minimum** over
+//! repetitions is the gated statistic.
 
 use std::path::PathBuf;
 
 use cbmf_serve::ModelArtifact;
-use cbmf_trace::Json;
 
+use crate::gate::{Report, Rule};
 use crate::kernels::{time_stats, Calibration};
 use crate::predict::{STATES, SUPPORT};
-
-/// Schema tag of `BENCH_artifact.json`.
-pub const ARTIFACT_SCHEMA: &str = "cbmf-bench-artifact/1";
 
 /// The paper's LNA variation dimensionality (Wang & Li, DAC 2016) — the
 /// suite's default workload dimension.
@@ -60,35 +58,28 @@ impl Default for ArtifactLoad {
     }
 }
 
-/// Wall-clock save/load timings of both encodings of one artifact.
+/// Wall-clock `(median, min)` save and load nanoseconds of both encodings
+/// of one artifact; loads include validation. Minima are gated.
 #[derive(Debug, Clone, Copy)]
 pub struct ArtifactResult {
     /// Size of the canonical JSON encoding, bytes.
     pub json_bytes: u64,
     /// Size of the binary encoding, bytes.
     pub bin_bytes: u64,
-    /// Median ns to write the JSON encoding.
-    pub json_save_ns: u128,
-    /// Minimum ns to write the JSON encoding — gated.
-    pub json_save_min_ns: u128,
-    /// Median ns to load + validate from JSON.
-    pub json_load_ns: u128,
-    /// Minimum ns to load + validate from JSON — gated.
-    pub json_load_min_ns: u128,
-    /// Median ns to write the binary encoding.
-    pub bin_save_ns: u128,
-    /// Minimum ns to write the binary encoding — gated.
-    pub bin_save_min_ns: u128,
-    /// Median ns to load + validate from binary.
-    pub bin_load_ns: u128,
-    /// Minimum ns to load + validate from binary — gated.
-    pub bin_load_min_ns: u128,
+    /// Writing the JSON encoding.
+    pub json_save: (u128, u128),
+    /// Loading the JSON encoding.
+    pub json_load: (u128, u128),
+    /// Writing the binary encoding.
+    pub bin_save: (u128, u128),
+    /// Loading the binary encoding.
+    pub bin_load: (u128, u128),
 }
 
 /// The load speedup a result demonstrates: minimum JSON load time over
 /// minimum binary load time (a same-host ratio — no calibration scaling).
 pub fn binary_speedup(r: &ArtifactResult) -> f64 {
-    r.json_load_min_ns as f64 / r.bin_load_min_ns.max(1) as f64
+    r.json_load.1 as f64 / r.bin_load.1.max(1) as f64
 }
 
 /// Times `reps` save/load repetitions of both encodings of the synthetic
@@ -112,15 +103,14 @@ pub fn run_artifact_suite(reps: usize, load: ArtifactLoad) -> ArtifactResult {
     let json_path = dir.join("workload.cbmf.json");
     let bin_path = dir.join("workload.cbmf.bin");
 
-    let (json_save_ns, json_save_min_ns) =
-        time_stats(reps, || artifact.save(&json_path).expect("save json"));
-    let (bin_save_ns, bin_save_min_ns) = time_stats(reps, || {
+    let json_save = time_stats(reps, || artifact.save(&json_path).expect("save json"));
+    let bin_save = time_stats(reps, || {
         artifact.save_binary(&bin_path).expect("save binary")
     });
-    let (json_load_ns, json_load_min_ns) = time_stats(reps, || {
+    let json_load = time_stats(reps, || {
         std::hint::black_box(ModelArtifact::load(&json_path).expect("load json"));
     });
-    let (bin_load_ns, bin_load_min_ns) = time_stats(reps, || {
+    let bin_load = time_stats(reps, || {
         std::hint::black_box(ModelArtifact::load_binary(&bin_path).expect("load binary"));
     });
 
@@ -141,172 +131,50 @@ pub fn run_artifact_suite(reps: usize, load: ArtifactLoad) -> ArtifactResult {
     ArtifactResult {
         json_bytes,
         bin_bytes,
-        json_save_ns,
-        json_save_min_ns,
-        json_load_ns,
-        json_load_min_ns,
-        bin_save_ns,
-        bin_save_min_ns,
-        bin_load_ns,
-        bin_load_min_ns,
+        json_save,
+        json_load,
+        bin_save,
+        bin_load,
     }
 }
 
-/// Merges a re-run by element-wise minimum on every timing — the retry
-/// strategy of every min-time suite. Sizes are deterministic and must
-/// agree.
-pub fn merge_min_artifact(into: &mut [ArtifactResult], rerun: &[ArtifactResult]) {
-    for (r, n) in into.iter_mut().zip(rerun) {
-        assert_eq!(r.json_bytes, n.json_bytes, "json size changed between runs");
-        assert_eq!(r.bin_bytes, n.bin_bytes, "binary size changed between runs");
-        r.json_save_ns = r.json_save_ns.min(n.json_save_ns);
-        r.json_save_min_ns = r.json_save_min_ns.min(n.json_save_min_ns);
-        r.json_load_ns = r.json_load_ns.min(n.json_load_ns);
-        r.json_load_min_ns = r.json_load_min_ns.min(n.json_load_min_ns);
-        r.bin_save_ns = r.bin_save_ns.min(n.bin_save_ns);
-        r.bin_save_min_ns = r.bin_save_min_ns.min(n.bin_save_min_ns);
-        r.bin_load_ns = r.bin_load_ns.min(n.bin_load_ns);
-        r.bin_load_min_ns = r.bin_load_min_ns.min(n.bin_load_min_ns);
-    }
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
-}
-
-/// Renders a suite result as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_artifact.json`.
-pub fn render_artifact_report(
+/// Renders a suite result as an `artifact` report.
+pub fn report(
     r: &ArtifactResult,
     reps: usize,
     load: ArtifactLoad,
     calibration: Calibration,
-) -> Json {
-    let timing = |median: u128, min: u128| {
-        [
-            ("load_median_ns".to_string(), Json::Num(median as f64)),
-            ("load_min_ns".to_string(), Json::Num(min as f64)),
-        ]
-    };
-    let mut json_section = timing(r.json_load_ns, r.json_load_min_ns).to_vec();
-    json_section.push((
-        "save_median_ns".to_string(),
-        Json::Num(r.json_save_ns as f64),
-    ));
-    json_section.push((
-        "save_min_ns".to_string(),
-        Json::Num(r.json_save_min_ns as f64),
-    ));
-    let mut bin_section = timing(r.bin_load_ns, r.bin_load_min_ns).to_vec();
-    bin_section.push((
-        "save_median_ns".to_string(),
-        Json::Num(r.bin_save_ns as f64),
-    ));
-    bin_section.push((
-        "save_min_ns".to_string(),
-        Json::Num(r.bin_save_min_ns as f64),
-    ));
-    Json::obj([
-        ("schema".to_string(), Json::Str(ARTIFACT_SCHEMA.to_string())),
-        ("reps".to_string(), Json::Num(reps as f64)),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), crate::kernels::host_with_isa()),
-        ("binary".to_string(), Json::obj(bin_section)),
-        ("json".to_string(), Json::obj(json_section)),
-        (
-            "load_speedup".to_string(),
-            Json::Num(round3(binary_speedup(r))),
-        ),
-        (
-            "sizes".to_string(),
-            Json::obj([
-                ("bin_bytes".to_string(), Json::Num(r.bin_bytes as f64)),
-                ("json_bytes".to_string(), Json::Num(r.json_bytes as f64)),
-                (
-                    "json_over_bin".to_string(),
-                    Json::Num(round3(r.json_bytes as f64 / r.bin_bytes.max(1) as f64)),
-                ),
-            ]),
-        ),
-        (
-            "workload".to_string(),
-            Json::obj([
-                (
-                    "rows_per_state".to_string(),
-                    Json::Num(load.rows_per_state as f64),
-                ),
-                ("states".to_string(), Json::Num(STATES as f64)),
-                ("support".to_string(), Json::Num(SUPPORT as f64)),
-                ("variables".to_string(), Json::Num(load.variables as f64)),
-            ]),
-        ),
-    ])
-}
-
-/// The gated minimum-time fields of each encoding section.
-pub const ARTIFACT_MIN_FIELDS: &[&str] = &["load_min_ns", "save_min_ns"];
-
-/// Validates the fixed skeleton of an artifact report: schema string,
-/// positive calibrations, host object, both encoding sections with every
-/// timing, positive sizes, and a positive recorded speedup.
-pub fn validate_artifact_report(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == ARTIFACT_SCHEMA => {}
-        Some(s) => return Err(format!("schema '{s}' is not '{ARTIFACT_SCHEMA}'")),
-        None => return Err("missing 'schema' field".to_string()),
+) -> Report {
+    let mut out = Report::new("artifact", Some(calibration));
+    out.info("reps", reps as f64, "count");
+    let workload = [
+        ("rows_per_state", load.rows_per_state),
+        ("states", STATES),
+        ("support", SUPPORT),
+        ("variables", load.variables),
+    ];
+    for (name, v) in workload {
+        out.info(format!("workload.{name}"), v as f64, "count");
     }
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    for section in ["binary", "json"] {
-        let s = doc
-            .get(section)
-            .and_then(Json::as_obj)
-            .ok_or(format!("missing '{section}' object"))?;
-        for field in [
-            "load_median_ns",
-            "load_min_ns",
-            "save_median_ns",
-            "save_min_ns",
-        ] {
-            match s.get(field).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 => {}
-                _ => return Err(format!("{section}: bad '{field}'")),
-            }
-        }
-    }
-    let sizes = doc
-        .get("sizes")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'sizes' object")?;
-    for field in ["bin_bytes", "json_bytes"] {
-        match sizes.get(field).and_then(Json::as_f64) {
-            Some(v) if v > 0.0 => {}
-            _ => return Err(format!("sizes: bad '{field}'")),
-        }
-    }
-    match doc.get("load_speedup").and_then(Json::as_f64) {
-        Some(v) if v > 0.0 => Ok(()),
-        _ => Err("missing or non-positive 'load_speedup'".to_string()),
-    }
+    out.timing("binary.load", r.bin_load);
+    out.timing("binary.save", r.bin_save);
+    out.timing("json.load", r.json_load);
+    out.timing("json.save", r.json_save);
+    out.info("sizes.bin_bytes", r.bin_bytes as f64, "bytes");
+    out.info("sizes.json_bytes", r.json_bytes as f64, "bytes");
+    out.push("load_speedup", binary_speedup(r), "x", Rule::Floor)
+        .limit(MIN_BINARY_SPEEDUP);
+    let saved = r.json_bytes as f64 - r.bin_bytes as f64;
+    out.push("sizes.bytes_saved", saved, "bytes", Rule::Floor)
+        .limit(1.0);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::baseline_path;
+    use crate::kernels::cal;
 
     fn tiny_load() -> ArtifactLoad {
         ArtifactLoad {
@@ -315,22 +183,14 @@ mod tests {
         }
     }
 
-    fn cal(cache_ns: u128, dram_ns: u128) -> Calibration {
-        Calibration { cache_ns, dram_ns }
-    }
-
     fn mk(json_load: u128, bin_load: u128) -> ArtifactResult {
         ArtifactResult {
             json_bytes: 1000,
             bin_bytes: 300,
-            json_save_ns: json_load,
-            json_save_min_ns: json_load,
-            json_load_ns: json_load,
-            json_load_min_ns: json_load,
-            bin_save_ns: bin_load,
-            bin_save_min_ns: bin_load,
-            bin_load_ns: bin_load,
-            bin_load_min_ns: bin_load,
+            json_save: (json_load, json_load),
+            json_load: (json_load, json_load),
+            bin_save: (bin_load, bin_load),
+            bin_load: (bin_load, bin_load),
         }
     }
 
@@ -342,99 +202,60 @@ mod tests {
             r.bin_bytes < r.json_bytes,
             "binary must be the smaller encoding"
         );
-        assert!(r.json_load_min_ns >= 1 && r.bin_load_min_ns >= 1);
-        assert!(r.json_load_min_ns <= r.json_load_ns);
-        assert!(r.bin_load_min_ns <= r.bin_load_ns);
-        let doc = render_artifact_report(&r, 1, tiny_load(), cal(123, 456));
-        validate_artifact_report(&doc).expect("fresh report validates");
-        // Byte-stable: parse-then-render reproduces the canonical text.
-        let text = format!("{}\n", doc.to_pretty());
-        let reparsed = Json::parse(&text).unwrap();
-        assert_eq!(format!("{}\n", reparsed.to_pretty()), text);
+        assert!(r.json_load.1 >= 1 && r.bin_load.1 >= 1);
+        assert!(r.json_load.1 <= r.json_load.0 && r.bin_load.1 <= r.bin_load.0);
+        let doc = report(&r, 1, tiny_load(), cal(123, 456));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(
+            doc.value("sizes.bytes_saved"),
+            Some((r.json_bytes - r.bin_bytes) as f64)
+        );
     }
 
     #[test]
     fn merge_min_takes_elementwise_minimum() {
-        let mut acc = [mk(100, 10)];
-        merge_min_artifact(&mut acc, &[mk(80, 12)]);
-        assert_eq!(acc[0].json_load_min_ns, 80);
-        assert_eq!(acc[0].bin_load_min_ns, 10);
-        assert_eq!(acc[0].json_save_min_ns, 80);
-        assert_eq!(acc[0].bin_save_min_ns, 10);
+        let mut acc = report(&mk(100, 10), 1, tiny_load(), cal(1, 1));
+        acc.merge_min(&report(&mk(80, 12), 1, tiny_load(), cal(1, 1)));
+        assert_eq!(acc.value("json.load_min_ns"), Some(80.0));
+        assert_eq!(acc.value("binary.load_min_ns"), Some(10.0));
+        assert_eq!(acc.value("json.save_min_ns"), Some(80.0));
+        assert_eq!(acc.value("binary.save_min_ns"), Some(10.0));
+        assert_eq!(acc.value("load_speedup"), Some(10.0));
     }
 
     #[test]
     fn validate_rejects_malformed_reports() {
-        let good = render_artifact_report(&mk(100, 10), 3, tiny_load(), cal(100, 200));
-        validate_artifact_report(&good).unwrap();
-        assert!(validate_artifact_report(&Json::Null).is_err());
-        let with = |f: &dyn Fn(&mut std::collections::BTreeMap<String, Json>)| {
-            let mut doc = good.clone();
-            if let Json::Obj(map) = &mut doc {
-                f(map);
-            }
-            doc
-        };
-        let wrong_schema = with(&|m| {
-            m.insert("schema".into(), Json::Str("cbmf-bench-artifact/9".into()));
-        });
-        assert!(validate_artifact_report(&wrong_schema)
-            .unwrap_err()
-            .contains("cbmf-bench-artifact/9"));
-        let no_bin = with(&|m| {
-            m.remove("binary");
-        });
-        assert!(validate_artifact_report(&no_bin)
-            .unwrap_err()
-            .contains("binary"));
-        let no_sizes = with(&|m| {
-            m.remove("sizes");
-        });
-        assert!(validate_artifact_report(&no_sizes)
-            .unwrap_err()
-            .contains("sizes"));
-        let no_speedup = with(&|m| {
-            m.remove("load_speedup");
-        });
-        assert!(validate_artifact_report(&no_speedup)
+        let text = report(&mk(100, 10), 3, tiny_load(), cal(100, 200)).render();
+        assert!(Report::parse(&text).is_ok());
+        let no_limit = text.replacen("\"limit\":5,", "", 1);
+        assert!(Report::parse(&no_limit)
             .unwrap_err()
             .contains("load_speedup"));
+        let info_limit = text.replacen("\"id\":\"reps\",", "\"id\":\"reps\",\"limit\":1,", 1);
+        assert!(Report::parse(&info_limit).unwrap_err().contains("limit"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, canonical,
-    /// and — the acceptance bar of the binary format — record a load
-    /// speedup of at least [`MIN_BINARY_SPEEDUP`]× at paper scale. A
-    /// failure here means `BENCH_artifact.json` needs regenerating via
-    /// `cargo run --release -p cbmf-bench --bin bench_artifact`.
+    /// The committed baseline must parse, be in canonical form, and — the
+    /// acceptance bar of the binary format — record a load speedup of at
+    /// least [`MIN_BINARY_SPEEDUP`]× at paper scale. A failure here means
+    /// `BENCH_artifact.json` needs regenerating via `ci_gate --write-baseline artifact`.
     #[test]
     fn committed_artifact_baseline_meets_the_speedup_floor() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_artifact.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_artifact.json");
-        let doc = Json::parse(&text).expect("parse BENCH_artifact.json");
-        validate_artifact_report(&doc).expect("committed baseline validates");
-        assert_eq!(
-            format!("{}\n", doc.to_pretty()),
-            text,
-            "BENCH_artifact.json is not in canonical form"
-        );
-        let speedup = |enc: &str| {
-            doc.get(enc)
-                .and_then(|s| s.get("load_min_ns"))
-                .and_then(Json::as_f64)
-                .expect("load_min_ns")
-        };
-        let measured = speedup("json") / speedup("binary");
+        let text = std::fs::read_to_string(baseline_path("artifact")).unwrap();
+        let doc = Report::parse(&text).unwrap();
+        assert_eq!(doc.render(), text, "BENCH_artifact.json is not canonical");
+        let measured =
+            doc.value("json.load_min_ns").unwrap() / doc.value("binary.load_min_ns").unwrap();
+        assert_eq!(doc.value("load_speedup"), Some(measured));
         assert!(
             measured >= MIN_BINARY_SPEEDUP,
             "committed baseline's binary load is only {measured:.2}x faster than JSON \
              (< {MIN_BINARY_SPEEDUP}x floor)"
         );
         // The paper-scale workload is what the floor is about.
-        let d = doc
-            .get("workload")
-            .and_then(|w| w.get("variables"))
-            .and_then(Json::as_f64)
-            .expect("workload.variables");
-        assert_eq!(d as usize, ARTIFACT_VARIABLES);
+        assert_eq!(
+            doc.value("workload.variables"),
+            Some(ARTIFACT_VARIABLES as f64)
+        );
     }
 }

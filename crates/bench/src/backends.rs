@@ -8,30 +8,22 @@
 //! training budgets, and each cell reports the held-out modeling error next
 //! to the virtual simulation cost ([`SimCostModel`]) of its training set.
 //! This is the paper's central claim made machine-checkable: C-BMF must be
-//! at least as accurate as every baseline at equal simulation budget, and
-//! `gate_backends` enforces exactly that on the committed document.
+//! at least as accurate as every baseline at equal simulation budget — one
+//! `dominates` row per circuit, budget and baseline backend.
 //!
 //! Every fit is seeded and bitwise deterministic at any thread count (the
 //! repo-wide kernel contract, pinned by `tests/backends.rs`), so the
-//! accuracy cells of `BENCH_backends.json` are byte-stable: regenerating on
+//! accuracy rows of `BENCH_backends.json` are byte-stable: regenerating on
 //! any host diffs clean except for the `host` and calibration fields. No
 //! wall-clock numbers appear in the rows for the same reason — fitting cost
 //! is visible in the nightly log, while the document carries only the
 //! virtual (deterministic) simulation cost.
 
-use std::collections::BTreeMap;
+use cbmf::{Backend, ElasticNet, ElasticNetConfig, Omp, OmpConfig, Somp, SompConfig, SparseSolver};
+use cbmf_circuits::{Lna, Mixer, MonteCarlo, SimCostModel, Testbench, Vco};
 
-use cbmf::{
-    Backend, BasisSpec, CandidateGrid, CbmfConfig, CbmfFit, ElasticNet, ElasticNetConfig, EmConfig,
-    Omp, OmpConfig, Somp, SompConfig, SparseSolver, TunableProblem,
-};
-use cbmf_circuits::{Lna, Mixer, MonteCarlo, SimCostModel, Testbench, TunableDataset, Vco};
-use cbmf_trace::Json;
-
-use crate::kernels::{host_with_isa, Calibration};
-
-/// Schema identifier of `BENCH_backends.json`.
-pub const BACKENDS_SCHEMA: &str = "cbmf-bench-backends/1";
+use crate::gate::{Report, Rule};
+use crate::kernels::Calibration;
 
 /// Circuit examples of the sweep, in report order.
 pub const CIRCUIT_NAMES: [&str; 4] = ["lna", "mixer", "vco", "yield"];
@@ -82,18 +74,7 @@ pub struct CircuitSweep {
 /// finishes in well under a minute.
 pub fn solver_for(backend: Backend) -> Box<dyn SparseSolver> {
     match backend {
-        Backend::Cbmf => {
-            let mut cfg = CbmfConfig::small_problem();
-            cfg.grid = CandidateGrid {
-                theta: vec![4, 8],
-                ..cfg.grid
-            };
-            cfg.em = EmConfig {
-                max_iters: 5,
-                ..cfg.em
-            };
-            Box::new(CbmfFit::new(cfg))
-        }
+        Backend::Cbmf => Box::new(crate::reduced_cbmf()),
         Backend::Somp => Box::new(Somp::new(SompConfig {
             theta_candidates: vec![4, 8, 12],
             cv_folds: 3,
@@ -107,27 +88,6 @@ pub fn solver_for(backend: Backend) -> Box<dyn SparseSolver> {
             ..ElasticNetConfig::default()
         })),
     }
-}
-
-/// Reduces a collected dataset to the suite's problem size (at most
-/// `keep_states` states, `keep_vars` variables — the `fit_fleet`
-/// reduction) and projects out one metric as the modeling target.
-fn reduced_problem(ds: &TunableDataset, metric: usize) -> TunableProblem {
-    let keep_states = ds.states.len().min(6);
-    let keep_vars = 40;
-    let xs: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.x.block(0, s.x.rows(), 0, keep_vars.min(s.x.cols())))
-        .collect();
-    let ys: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.metric(metric))
-        .collect();
-    TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).expect("well-formed dataset")
 }
 
 /// Sweeps one circuit: held-out set first (so its draw is independent of
@@ -144,7 +104,7 @@ fn sweep_circuit<T: Testbench + Sync>(
     let test_ds = MonteCarlo::new(TEST_PER_STATE)
         .collect(tb, &mut rng)
         .expect("test collection");
-    let test = reduced_problem(&test_ds, metric);
+    let test = crate::reduced_problem(&test_ds, metric);
     let kept_states = test_ds.states.len().min(6);
 
     let mut rows = Vec::new();
@@ -152,7 +112,7 @@ fn sweep_circuit<T: Testbench + Sync>(
         let train_ds = MonteCarlo::new(n)
             .collect(tb, &mut rng)
             .expect("train collection");
-        let train = reduced_problem(&train_ds, metric);
+        let train = crate::reduced_problem(&train_ds, metric);
         let total_samples = n * kept_states;
         let sim_hours = cost.charge(total_samples).hours();
         let mut cells = Vec::new();
@@ -190,29 +150,25 @@ fn sweep_circuit<T: Testbench + Sync>(
 ///
 /// Panics on fitting or simulation failure — inputs are generated here and
 /// must be valid, so a failure is a harness bug.
-pub fn run_backends_suite(report: impl Fn(&CircuitSweep)) -> Vec<CircuitSweep> {
+pub fn run_backends_suite() -> Vec<CircuitSweep> {
     let lna = Lna::new();
     let mixer = Mixer::new();
     let vco = Vco::new();
     // The VCO has no paper-calibrated per-sample cost (Tables 1–2 cover LNA
     // and mixer only); 30 s/sample is a documented stand-in between the two.
     let vco_cost = SimCostModel::new(30.0);
-    let sweeps = vec![
+    vec![
         sweep_circuit("lna", &lna, 1, SimCostModel::lna_paper(), 2600),
         sweep_circuit("mixer", &mixer, 1, SimCostModel::mixer_paper(), 2601),
         sweep_circuit("vco", &vco, 0, vco_cost, 2602),
         // The yield-estimation example thresholds the LNA noise figure, so
         // its modeling target is the NF metric on the same testbench.
         sweep_circuit("yield", &lna, 0, SimCostModel::lna_paper(), 2603),
-    ];
-    for s in &sweeps {
-        report(s);
-    }
-    sweeps
+    ]
 }
 
-/// Key of one budget entry in the report (zero-padded so the sorted-key
-/// document lists budgets in numeric order).
+/// Key of one budget in row ids (zero-padded so ids sort in numeric
+/// order).
 pub fn budget_key(samples_per_state: usize) -> String {
     format!("budget_{samples_per_state:03}")
 }
@@ -221,156 +177,57 @@ fn round6(v: f64) -> f64 {
     (v * 1e6).round() / 1e6
 }
 
-/// Renders suite results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_backends.json`.
-pub fn render_backends_report(sweeps: &[CircuitSweep], calibration: Calibration) -> Json {
-    let circuits: BTreeMap<String, Json> = sweeps
-        .iter()
-        .map(|s| {
-            let budgets: BTreeMap<String, Json> = s
-                .rows
-                .iter()
-                .map(|r| {
-                    let backends: BTreeMap<String, Json> = r
-                        .cells
-                        .iter()
-                        .map(|c| {
-                            (
-                                c.backend.to_string(),
-                                Json::obj([
-                                    (
-                                        "error_pct".to_string(),
-                                        // 6 decimals: stable under text
-                                        // round-trip, far finer than the
-                                        // gate's tolerance.
-                                        Json::Num(round6(c.error_pct)),
-                                    ),
-                                    ("support_size".to_string(), Json::Num(c.support_size as f64)),
-                                ]),
-                            )
-                        })
-                        .collect();
-                    (
-                        budget_key(r.samples_per_state),
-                        Json::obj([
-                            (
-                                "samples_per_state".to_string(),
-                                Json::Num(r.samples_per_state as f64),
-                            ),
-                            (
-                                "total_samples".to_string(),
-                                Json::Num(r.total_samples as f64),
-                            ),
-                            ("sim_hours".to_string(), Json::Num(round6(r.sim_hours))),
-                            ("backends".to_string(), Json::Obj(backends)),
-                        ]),
-                    )
-                })
-                .collect();
-            (
-                s.circuit.to_string(),
-                Json::obj([
-                    ("metric".to_string(), Json::Str(s.metric.to_string())),
-                    ("budgets".to_string(), Json::Obj(budgets)),
-                ]),
-            )
-        })
-        .collect();
-    Json::obj([
-        ("schema".to_string(), Json::Str(BACKENDS_SCHEMA.to_string())),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), host_with_isa()),
-        ("circuits".to_string(), Json::Obj(circuits)),
-    ])
-}
-
-/// Validates the fixed skeleton of a backends report: schema string,
-/// positive calibrations, host object, and a non-empty circuit map whose
-/// budget cells carry every backend with sane accuracy fields.
-pub fn validate_backends_report(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == BACKENDS_SCHEMA => {}
-        Some(s) => return Err(format!("schema '{s}' != '{BACKENDS_SCHEMA}'")),
-        None => return Err("missing 'schema' field".to_string()),
-    }
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    let circuits = doc
-        .get("circuits")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'circuits' object")?;
-    if circuits.is_empty() {
-        return Err("empty 'circuits' object".to_string());
-    }
-    for (cname, c) in circuits {
-        if c.get("metric").and_then(Json::as_str).is_none() {
-            return Err(format!("circuit '{cname}': missing 'metric'"));
-        }
-        let budgets = c
-            .get("budgets")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| format!("circuit '{cname}': missing 'budgets' object"))?;
-        if budgets.is_empty() {
-            return Err(format!("circuit '{cname}': empty 'budgets' object"));
-        }
-        for (bname, b) in budgets {
-            let ctx = format!("{cname}/{bname}");
-            for field in ["samples_per_state", "total_samples"] {
-                match b.get(field).and_then(Json::as_u64) {
-                    Some(v) if v > 0 => {}
-                    _ => return Err(format!("{ctx}: bad '{field}'")),
-                }
+/// Renders suite results as a `backends` report. Per circuit and budget:
+/// the training-set size and virtual simulation hours (`info`), each
+/// backend's error (`drift`, 6 decimals) and support size (`exact`), and
+/// one `dominates` row per baseline backend whose value is C-BMF's error
+/// and whose limit is that backend's.
+pub fn report(sweeps: &[CircuitSweep], calibration: Calibration) -> Report {
+    let mut out = Report::new("backends", Some(calibration));
+    for s in sweeps {
+        for r in &s.rows {
+            let key = format!("{}.{}", s.circuit, budget_key(r.samples_per_state));
+            out.info(
+                format!("{key}.total_samples"),
+                r.total_samples as f64,
+                "count",
+            );
+            out.info(format!("{key}.sim_hours"), round6(r.sim_hours), "h");
+            for c in &r.cells {
+                let cell = format!("{key}.{}", c.backend);
+                out.push(
+                    format!("{cell}.error_pct"),
+                    round6(c.error_pct),
+                    "%",
+                    Rule::Drift,
+                );
+                out.push(
+                    format!("{cell}.support_size"),
+                    c.support_size as f64,
+                    "count",
+                    Rule::Exact,
+                );
             }
-            match b.get("sim_hours").and_then(Json::as_f64) {
-                Some(v) if v.is_finite() && v > 0.0 => {}
-                _ => return Err(format!("{ctx}: bad 'sim_hours'")),
-            }
-            let backends = b
-                .get("backends")
-                .and_then(Json::as_obj)
-                .ok_or_else(|| format!("{ctx}: missing 'backends' object"))?;
-            for backend in Backend::ALL {
-                let name = backend.name();
-                let cell = backends
-                    .get(name)
-                    .ok_or_else(|| format!("{ctx}: missing backend '{name}'"))?;
-                match cell.get("error_pct").and_then(Json::as_f64) {
-                    Some(e) if e.is_finite() && e >= 0.0 => {}
-                    _ => return Err(format!("{ctx}/{name}: bad 'error_pct'")),
-                }
-                if cell.get("support_size").and_then(Json::as_u64).is_none() {
-                    return Err(format!("{ctx}/{name}: bad 'support_size'"));
-                }
+            let cbmf = r.cells.iter().find(|c| c.backend == Backend::Cbmf.name());
+            let cbmf = round6(cbmf.expect("every budget fits C-BMF").error_pct);
+            for c in r.cells.iter().filter(|c| c.backend != Backend::Cbmf.name()) {
+                out.push(
+                    format!("{key}.cbmf_vs_{}", c.backend),
+                    cbmf,
+                    "%",
+                    Rule::Dominates,
+                )
+                .limit(round6(c.error_pct));
             }
         }
     }
-    Ok(())
+    out
 }
 
 /// Renders the backend comparison as a markdown table (the nightly job
 /// appends it to `$GITHUB_STEP_SUMMARY`; EXPERIMENTS.md embeds the same
 /// table). One row per circuit/budget cell, one error column per backend.
-///
-/// # Errors
-///
-/// Returns a reason string when the document fails schema validation.
-pub fn render_backends_markdown(doc: &Json) -> Result<String, String> {
-    validate_backends_report(doc)?;
-    let circuits = doc.get("circuits").and_then(Json::as_obj).unwrap();
+pub fn markdown(sweeps: &[CircuitSweep]) -> String {
     let mut out = String::from("## Backend accuracy vs simulation cost\n\n");
     out.push_str("| circuit | metric | samples/state | sim hours |");
     for backend in Backend::ALL {
@@ -381,33 +238,26 @@ pub fn render_backends_markdown(doc: &Json) -> Result<String, String> {
         out.push_str("----------:|");
     }
     out.push('\n');
-    for name in CIRCUIT_NAMES {
-        let Some(c) = circuits.get(name) else {
-            continue;
-        };
-        let metric = c.get("metric").and_then(Json::as_str).unwrap();
-        for b in c.get("budgets").and_then(Json::as_obj).unwrap().values() {
-            let n = b.get("samples_per_state").and_then(Json::as_u64).unwrap();
-            let hours = b.get("sim_hours").and_then(Json::as_f64).unwrap();
-            out.push_str(&format!("| {name} | {metric} | {n} | {hours:.3} |"));
-            let cells = b.get("backends").and_then(Json::as_obj).unwrap();
-            for backend in Backend::ALL {
-                let e = cells
-                    .get(backend.name())
-                    .and_then(|cell| cell.get("error_pct"))
-                    .and_then(Json::as_f64)
-                    .unwrap();
-                out.push_str(&format!(" {e:.3} |"));
+    for s in sweeps {
+        for r in &s.rows {
+            out.push_str(&format!(
+                "| {} | {} | {} | {:.3} |",
+                s.circuit, s.metric, r.samples_per_state, r.sim_hours
+            ));
+            for c in &r.cells {
+                out.push_str(&format!(" {:.3} |", c.error_pct));
             }
             out.push('\n');
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{baseline_path, gate, DEFAULT_TOL};
+    use crate::kernels::cal;
 
     fn toy_sweeps() -> Vec<CircuitSweep> {
         vec![CircuitSweep {
@@ -430,43 +280,19 @@ mod tests {
         }]
     }
 
-    fn toy_calibration() -> Calibration {
-        Calibration {
-            cache_ns: 1000,
-            dram_ns: 2000,
-        }
-    }
-
     #[test]
     fn rendered_report_validates_and_round_trips() {
-        let doc = render_backends_report(&toy_sweeps(), toy_calibration());
-        validate_backends_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.to_pretty()).unwrap();
-        assert_eq!(parsed, doc);
-        let cell = parsed
-            .get("circuits")
-            .unwrap()
-            .get("lna")
-            .unwrap()
-            .get("budgets")
-            .unwrap()
-            .get("budget_006")
-            .unwrap()
-            .get("backends")
-            .unwrap()
-            .get("elastic_net")
-            .unwrap()
-            .get("error_pct")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((cell - 2.5).abs() < 1e-12);
+        let doc = report(&toy_sweeps(), cal(1000, 2000));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(doc.value("lna.budget_006.elastic_net.error_pct"), Some(2.5));
+        let dom = doc.row("lna.budget_006.cbmf_vs_elastic_net").unwrap();
+        assert_eq!((dom.value, dom.limit), (1.0, Some(2.5)));
+        assert!(doc.row("lna.budget_006.cbmf_vs_cbmf").is_none());
     }
 
     #[test]
     fn markdown_table_lists_every_backend_column() {
-        let doc = render_backends_report(&toy_sweeps(), toy_calibration());
-        let md = render_backends_markdown(&doc).unwrap();
+        let md = markdown(&toy_sweeps());
         for backend in Backend::ALL {
             assert!(md.contains(backend.name()), "missing {}", backend.name());
         }
@@ -475,55 +301,33 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_reports() {
-        assert!(validate_backends_report(&Json::Null).is_err());
-        let doc = Json::parse(r#"{"schema": "cbmf-bench-backends/9"}"#).unwrap();
-        assert!(validate_backends_report(&doc)
+        let text = report(&toy_sweeps(), cal(1000, 2000)).render();
+        assert!(Report::parse(&text).is_ok());
+        // A dominance claim without the number it must beat is incomplete.
+        let no_limit = text.replacen("\"limit\":2.5,", "", 1);
+        assert!(Report::parse(&no_limit)
             .unwrap_err()
-            .contains("schema"));
-        // A budget cell missing one backend is incomplete.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-backends/1", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {"threads": 1},
-                "circuits": {"lna": {"metric": "vg_db", "budgets": {
-                  "budget_006": {"samples_per_state": 6, "total_samples": 36,
-                    "sim_hours": 0.1, "backends": {
-                      "cbmf": {"error_pct": 1.0, "support_size": 4}}}}}}}"#,
-        )
-        .unwrap();
-        assert!(validate_backends_report(&doc)
-            .unwrap_err()
-            .contains("missing backend"));
+            .contains("cbmf_vs_elastic_net"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, in
-    /// canonical sorted-key form, and self-consistent under the backends
-    /// gate — including C-BMF dominance. A failure means
-    /// `BENCH_backends.json` needs regenerating via `cargo run --release
-    /// -p cbmf-bench --bin bench_backends`.
+    /// The committed baseline must parse, cover every circuit at every
+    /// budget, be in canonical form, and pass the gate against itself —
+    /// including C-BMF dominance. A failure means `BENCH_backends.json`
+    /// needs regenerating via `ci_gate --write-baseline backends`.
     #[test]
     fn committed_backends_baseline_is_schema_stable_and_dominant() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_backends.json");
-        let doc = Json::parse(&text).expect("parse BENCH_backends.json");
-        validate_backends_report(&doc).expect("valid backends report");
-        assert_eq!(
-            text,
-            format!("{}\n", doc.to_pretty()),
-            "BENCH_backends.json is not in canonical sorted-key form"
-        );
-        // All four circuits and ≥3 budgets are present.
-        let circuits = doc.get("circuits").and_then(Json::as_obj).unwrap();
+        let text = std::fs::read_to_string(baseline_path("backends")).unwrap();
+        let doc = Report::parse(&text).unwrap();
+        assert_eq!(doc.render(), text, "BENCH_backends.json is not canonical");
         for name in CIRCUIT_NAMES {
-            let c = circuits.get(name).expect("circuit present");
-            assert!(
-                c.get("budgets").and_then(Json::as_obj).unwrap().len() >= BUDGETS.len(),
-                "circuit '{name}' lost budget rows"
-            );
+            for b in BUDGETS {
+                for backend in Backend::ALL {
+                    let id = format!("{name}.{}.{}.error_pct", budget_key(b), backend.name());
+                    assert!(doc.row(&id).is_some(), "missing {id}");
+                }
+            }
         }
-        // Gating the baseline against itself checks both drift rows
-        // (trivially) and the C-BMF dominance invariant (non-trivially).
-        let outcome = crate::gate::gate_backends(&doc, &doc, crate::gate::DEFAULT_TOL)
-            .expect("gateable baseline");
+        let outcome = gate(&doc, &doc, DEFAULT_TOL).unwrap();
         assert!(
             outcome.passed(),
             "committed baseline violates the gate: {:?}",

@@ -1,519 +1,210 @@
-//! The CI regression gate: re-times the kernel, predict, serving and
-//! artifact-serialization suites, re-runs the accuracy smoke fits, the
-//! backend accuracy sweep and the streaming-vs-batch sweep, and compares
-//! all seven against the committed baselines (`BENCH_kernels.json`,
-//! `BENCH_predict.json`, `BENCH_serve.json`, `BENCH_artifact.json`,
-//! `BASELINE_accuracy.json`, `BENCH_backends.json`, `BENCH_stream.json`).
-//! Exits nonzero on any regression beyond the tolerance; the serve gate
-//! additionally enforces the dynamic-batching coalescing-gain floor at 64
-//! clients, the artifact gate the binary-over-JSON load-speedup floor, the
-//! backends gate C-BMF dominance over every baseline backend at equal
-//! simulation budget, and the stream gate the simulation-savings floor
-//! (streaming reaches batch accuracy on ≥3 of 4 circuits with ≥25% fewer
-//! simulations) plus bitwise parity of the one-chunk stream with the batch
-//! fit.
+//! The CI regression gate and baseline writer for every committed bench:
+//! `kernels`, `predict`, `serve`, `artifact`, `accuracy`, `backends` and
+//! `stream` (see [`cbmf_bench::gate`] for the report envelope and the rule
+//! each row is judged by).
 //!
 //! ```text
-//! cargo run --release -p cbmf-bench --bin ci_gate
+//! cargo run --release -p cbmf-bench --bin ci_gate                          # gate all
+//! cargo run --release -p cbmf-bench --bin ci_gate -- --only serve          # gate one
+//! cargo run --release -p cbmf-bench --bin ci_gate -- --candidate run.json  # gate a saved run
+//! cargo run --release -p cbmf-bench --bin ci_gate -- --write-baseline stream
 //! ```
 //!
-//! Thresholds are explicit and relative (default 20%, `--tol 0.3` to
-//! widen); perf and predict thresholds are additionally scaled by the ratio
-//! of the two hosts' `calibration_ns` so a slower CI runner does not trip
-//! the gates (see `cbmf_bench::gate`). Fresh candidate documents are
-//! written under `target/ci-gate/` for artifact upload, and when
-//! `$GITHUB_STEP_SUMMARY` is set a markdown verdict table covering every
-//! comparison is appended to it.
-//!
 //! Flags:
-//! * `--tol <f64>` — relative tolerance for all gates (default 0.20).
-//! * `--skip-bench` / `--skip-predict` / `--skip-serve` /
-//!   `--skip-artifact` / `--skip-accuracy` / `--skip-backends` /
-//!   `--skip-stream` — skip a gate.
-//! * `--candidate-bench <path>` / `--candidate-predict <path>` /
-//!   `--candidate-serve <path>` / `--candidate-artifact <path>` /
-//!   `--candidate-accuracy <path>` / `--candidate-backends <path>` /
-//!   `--candidate-stream <path>` — gate a pre-recorded candidate document
-//!   instead of running fresh (used by the gate's own CI self-test to
-//!   prove doctored regressions are caught).
-//! * `--write-accuracy-baseline` — regenerate `BASELINE_accuracy.json`
-//!   from a fresh smoke run and exit (no gating).
-//! * `--write-backends-baseline` — regenerate `BENCH_backends.json` from a
-//!   fresh backend sweep and exit (no gating; `bench_backends` does the
-//!   same with a progress log and the markdown table).
-//! * `--write-stream-baseline` — regenerate `BENCH_stream.json` from a
-//!   fresh streaming sweep and exit (no gating; `bench_stream` does the
-//!   same with a progress log and the markdown table).
+//! * `--tol <f64>` — relative tolerance of every rule (default 0.20).
+//! * `--only <bench>` — run and gate just this bench.
+//! * `--candidate <path>` — gate a pre-recorded report against the baseline
+//!   its `bench` field names, once, instead of running fresh.
+//! * `--write-baseline <bench>` — run the bench at baseline repetitions and
+//!   overwrite its committed report; no gating. The `kernels` baseline also
+//!   records the naive-kernel before/after, and `backends` / `stream` print
+//!   their markdown tables.
+//!
+//! Fresh runs use the quick repetition count; a timed bench that fails is
+//! re-run up to three times with [`Report::merge_min`], so scheduling noise
+//! (which only adds time) is filtered while a genuine slowdown fails every
+//! attempt. Fresh reports are saved under `target/ci-gate/` for artifact
+//! upload, and when `$GITHUB_STEP_SUMMARY` is set the verdict table (or a
+//! written baseline's markdown table) is appended to it.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cbmf_bench::artifact::{
-    merge_min_artifact, render_artifact_report, run_artifact_suite, ArtifactLoad,
-};
-use cbmf_bench::backends::{render_backends_report, run_backends_suite};
+use cbmf_bench::artifact::{run_artifact_suite, ArtifactLoad};
 use cbmf_bench::gate::{
-    gate_accuracy, gate_artifact, gate_backends, gate_kernels, gate_predict, gate_serve,
-    gate_stream, render_step_summary, GateOutcome, DEFAULT_TOL,
+    baseline_path, gate, render_step_summary, GateOutcome, Report, Rule, BENCHES, DEFAULT_TOL,
 };
-use cbmf_bench::kernels::{merge_min, render_bench_report, run_suite, Calibration, QUICK_REPS};
-use cbmf_bench::predict::{merge_min_predict, render_predict_report, run_predict_suite};
-use cbmf_bench::serve::{
-    merge_min_serve, render_serve_report, run_serve_suite, var_gain, ServeLoad,
-};
-use cbmf_bench::smoke::{render_accuracy_report, run_accuracy_smoke};
-use cbmf_bench::stream::{render_stream_report, run_stream_suite};
-use cbmf_trace::Json;
+use cbmf_bench::kernels::{run_suite, Calibration, BASELINE_REPS, QUICK_REPS};
+use cbmf_bench::serve::{run_serve_suite, ServeLoad};
+use cbmf_bench::{artifact, backends, kernels, predict, serve, smoke, stream};
 
-const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
 const MAX_ATTEMPTS: usize = 3;
 
-fn load_json(path: &Path) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+fn arg(args: &[String], flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).cloned()
 }
 
-fn arg_path(args: &[String], flag: &str) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
-fn save_candidate(dir: &Path, name: &str, doc: &Json) {
-    std::fs::create_dir_all(dir).expect("create candidate dir");
-    let path = dir.join(name);
-    std::fs::write(&path, format!("{}\n", doc.to_pretty())).expect("write candidate");
-    println!("candidate written to {}", path.display());
-}
-
-fn report_outcome(label: &str, outcome: &GateOutcome) -> bool {
-    if outcome.passed() {
-        println!("{label}: PASS ({} comparisons)", outcome.checked);
-        true
-    } else {
-        println!("{label}: FAIL ({} comparisons)", outcome.checked);
-        for f in &outcome.failures {
-            println!("  {f}");
+/// Runs one bench at `reps` repetitions; returns its report and, for the
+/// sweeps, the markdown table of the run.
+fn run(bench: &str, reps: usize, baseline: bool) -> (Report, Option<String>) {
+    println!("{bench}: running ({reps} reps)...");
+    if bench == "accuracy" {
+        // Deterministic fits, no timing: no calibration either.
+        return (smoke::report(&smoke::run_accuracy_smoke()), None);
+    }
+    let threads = cbmf_parallel::max_threads();
+    let before = Calibration::measure();
+    let (mut report, table) = match bench {
+        "kernels" => {
+            let results = run_suite(reps, threads, baseline);
+            (kernels::report(&results, reps, before), None)
         }
-        false
+        "predict" => {
+            let results = predict::run_predict_suite(reps, threads);
+            (predict::report(&results, reps, before), None)
+        }
+        "serve" => {
+            let load = ServeLoad::default();
+            let results = run_serve_suite(reps, load, |_| {});
+            (serve::report(&results, reps, load, before), None)
+        }
+        "artifact" => {
+            let load = ArtifactLoad::default();
+            let result = run_artifact_suite(reps, load);
+            (artifact::report(&result, reps, load, before), None)
+        }
+        "backends" => {
+            let sweeps = backends::run_backends_suite();
+            (
+                backends::report(&sweeps, before),
+                Some(backends::markdown(&sweeps)),
+            )
+        }
+        "stream" => {
+            let sweeps = stream::run_stream_suite();
+            (
+                stream::report(&sweeps, before),
+                Some(stream::markdown(&sweeps)),
+            )
+        }
+        other => panic!("unknown bench '{other}' (expected one of {BENCHES:?})"),
+    };
+    // Min of the probes bracketing the run: a single inflated probe would
+    // skew every later comparison through the calibration ratio.
+    if let Some(cal) = report.calibration {
+        report.calibration = Some(cal.min_with(Calibration::measure()));
+    }
+    (report, table)
+}
+
+fn append_step_summary(text: &str) {
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else {
+        return;
+    };
+    use std::io::Write;
+    let written = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| f.write_all(text.as_bytes()));
+    if let Err(e) = written {
+        eprintln!("step summary {path}: {e}");
     }
 }
 
-/// Runs one min-time gate (perf or predict) with the retry-and-merge-minima
-/// strategy: re-running filters scheduling noise (which only ever adds
-/// time) while a genuine slowdown fails every attempt. Returns the final
-/// outcome when gating ran, `None` on a document error (already reported).
-#[allow(clippy::too_many_arguments)] // bin-local plumbing shared by two gates
-fn gated_min_time_suite<R>(
-    label: &str,
-    baseline: &Json,
+/// Gates `bench` against its committed baseline: the given candidate once,
+/// or fresh runs with retries.
+fn gate_bench(
+    bench: &str,
+    candidate: Option<Report>,
     tol: f64,
     out_dir: &Path,
-    candidate_name: &str,
-    mut run: impl FnMut(usize) -> Vec<R>,
-    merge: impl Fn(&mut [R], &[R]),
-    render: impl Fn(&[R], Calibration) -> Json,
-    gate: impl Fn(&Json, &Json, f64) -> Result<GateOutcome, String>,
-) -> Option<GateOutcome> {
-    let mut merged: Vec<R> = Vec::new();
-    let mut cal = Calibration {
-        cache_ns: u128::MAX,
-        dram_ns: u128::MAX,
-    };
-    for attempt in 1..=MAX_ATTEMPTS {
-        println!("{label}: quick suite ({QUICK_REPS} reps, attempt {attempt}/{MAX_ATTEMPTS})...");
-        cal = cal.min_with(Calibration::measure());
-        let results = run(attempt);
-        if merged.is_empty() {
-            merged = results;
-        } else {
-            merge(&mut merged, &results);
-        }
-        let doc = render(&merged, cal);
-        save_candidate(out_dir, candidate_name, &doc);
-        match gate(baseline, &doc, tol) {
-            Ok(outcome) => {
-                if outcome.passed() || attempt == MAX_ATTEMPTS {
-                    report_outcome(label, &outcome);
-                    return Some(outcome);
-                }
-                println!(
-                    "{label}: {} comparison(s) over threshold, retrying...",
-                    outcome.failures.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("{label}: {e}");
-                return None;
-            }
-        }
+) -> Result<GateOutcome, String> {
+    let baseline = Report::load(&baseline_path(bench))?;
+    if let Some(candidate) = candidate {
+        return gate(&baseline, &candidate, tol);
     }
-    unreachable!("loop returns on last attempt")
+    let mut merged: Option<Report> = None;
+    for attempt in 1..=MAX_ATTEMPTS {
+        let fresh = run(bench, QUICK_REPS, false).0;
+        let report = match merged.as_mut() {
+            Some(m) => {
+                m.merge_min(&fresh);
+                m
+            }
+            None => merged.insert(fresh),
+        };
+        report.save(&out_dir.join(format!("candidate_{bench}.json")));
+        let outcome = gate(&baseline, report, tol)?;
+        let timed = report.rows.iter().any(|r| r.rule == Rule::MinTime);
+        if outcome.passed() || !timed || attempt == MAX_ATTEMPTS {
+            return Ok(outcome);
+        }
+        println!(
+            "{bench}: {} row(s) over threshold, retrying...",
+            outcome.failures.len()
+        );
+    }
+    unreachable!("the last attempt returns")
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let tol = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
+    let tol = arg(&args, "--tol")
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_TOL);
-    let root = Path::new(REPO_ROOT);
-    let out_dir = root.join("target/ci-gate");
 
-    if args.iter().any(|a| a == "--write-accuracy-baseline") {
-        let doc = render_accuracy_report(&run_accuracy_smoke());
-        let path = root.join("BASELINE_accuracy.json");
-        std::fs::write(&path, format!("{}\n", doc.to_pretty())).expect("write baseline");
-        println!("wrote {}", path.display());
+    if let Some(bench) = arg(&args, "--write-baseline") {
+        let (report, table) = run(&bench, BASELINE_REPS, true);
+        for r in report.rows.iter().filter(|r| r.rule != Rule::Info) {
+            println!("  {:48} {:>16} {}", r.id, r.value, r.unit);
+        }
+        report.save(&baseline_path(&bench));
+        if let Some(table) = table {
+            println!("\n{table}");
+            append_step_summary(&table);
+        }
         return ExitCode::SUCCESS;
     }
 
-    if args.iter().any(|a| a == "--write-backends-baseline") {
-        let doc = render_backends_report(&run_backends_suite(|_| {}), Calibration::measure());
-        let path = root.join("BENCH_backends.json");
-        std::fs::write(&path, format!("{}\n", doc.to_pretty())).expect("write baseline");
-        println!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if args.iter().any(|a| a == "--write-stream-baseline") {
-        let doc = render_stream_report(&run_stream_suite(|_| {}), Calibration::measure());
-        let path = root.join("BENCH_stream.json");
-        std::fs::write(&path, format!("{}\n", doc.to_pretty())).expect("write baseline");
-        println!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
+    let out_dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/ci-gate"));
+    let mut jobs: Vec<(String, Option<Report>)> = Vec::new();
+    if let Some(path) = arg(&args, "--candidate") {
+        match Report::load(&PathBuf::from(path)) {
+            Ok(c) => jobs.push((c.bench.clone(), Some(c))),
+            Err(e) => {
+                eprintln!("candidate: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else if let Some(bench) = arg(&args, "--only") {
+        jobs.push((bench, None));
+    } else {
+        jobs.extend(BENCHES.iter().map(|b| (b.to_string(), None)));
     }
 
     let mut all_passed = true;
-    let mut summary: Vec<(&str, GateOutcome)> = Vec::new();
-    let threads = cbmf_parallel::max_threads();
-
-    if !args.iter().any(|a| a == "--skip-bench") {
-        let baseline = match load_json(&root.join("BENCH_kernels.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("perf gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match arg_path(&args, "--candidate-bench") {
-            Some(p) => {
-                // Pre-recorded candidate: gate it once, no retries.
-                match load_json(&p).and_then(|cand| gate_kernels(&baseline, &cand, tol)) {
-                    Ok(outcome) => {
-                        all_passed &= report_outcome("perf gate", &outcome);
-                        summary.push(("perf", outcome));
-                    }
-                    Err(e) => {
-                        eprintln!("perf gate: {e}");
-                        all_passed = false;
-                    }
-                }
-            }
-            None => match gated_min_time_suite(
-                "perf gate",
-                &baseline,
-                tol,
-                &out_dir,
-                "candidate_bench.json",
-                |_| {
-                    // The quick re-run skips the naive before/after timing:
-                    // the gate only compares the routed kernels.
-                    run_suite(QUICK_REPS, threads, false, |r| {
-                        println!("  {:32} serial {:>12} ns", r.name, r.serial_ns);
-                    })
-                },
-                merge_min,
-                |merged, cal| render_bench_report(merged, QUICK_REPS, threads, cal),
-                gate_kernels,
-            ) {
-                Some(outcome) => {
-                    all_passed &= outcome.passed();
-                    summary.push(("perf", outcome));
-                }
-                None => all_passed = false,
-            },
-        }
-    }
-
-    if !args.iter().any(|a| a == "--skip-predict") {
-        let baseline = match load_json(&root.join("BENCH_predict.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("predict gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match arg_path(&args, "--candidate-predict") {
-            Some(p) => match load_json(&p).and_then(|cand| gate_predict(&baseline, &cand, tol)) {
-                Ok(outcome) => {
-                    all_passed &= report_outcome("predict gate", &outcome);
-                    summary.push(("predict", outcome));
-                }
-                Err(e) => {
-                    eprintln!("predict gate: {e}");
-                    all_passed = false;
-                }
-            },
-            None => match gated_min_time_suite(
-                "predict gate",
-                &baseline,
-                tol,
-                &out_dir,
-                "candidate_predict.json",
-                |_| {
-                    run_predict_suite(QUICK_REPS, threads, |r| {
-                        println!("  batch {:>5} serial {:>8} ns/sample", r.batch, r.serial_ns);
-                    })
-                },
-                merge_min_predict,
-                |merged, cal| render_predict_report(merged, QUICK_REPS, threads, cal),
-                gate_predict,
-            ) {
-                Some(outcome) => {
-                    all_passed &= outcome.passed();
-                    summary.push(("predict", outcome));
-                }
-                None => all_passed = false,
-            },
-        }
-    }
-
-    if !args.iter().any(|a| a == "--skip-serve") {
-        let baseline = match load_json(&root.join("BENCH_serve.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("serve gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match arg_path(&args, "--candidate-serve") {
-            Some(p) => match load_json(&p).and_then(|cand| gate_serve(&baseline, &cand, tol)) {
-                Ok(outcome) => {
-                    all_passed &= report_outcome("serve gate", &outcome);
-                    summary.push(("serve", outcome));
-                }
-                Err(e) => {
-                    eprintln!("serve gate: {e}");
-                    all_passed = false;
-                }
-            },
-            None => match gated_min_time_suite(
-                "serve gate",
-                &baseline,
-                tol,
-                &out_dir,
-                "candidate_serve.json",
-                |_| {
-                    run_serve_suite(QUICK_REPS, ServeLoad::default(), |r| {
-                        println!(
-                            "  clients {:>3} var {:>9} ns/req (gain {:.2}x)",
-                            r.clients,
-                            r.var_coalesced_min_ns,
-                            var_gain(r)
-                        );
-                    })
-                },
-                merge_min_serve,
-                |merged, cal| render_serve_report(merged, QUICK_REPS, ServeLoad::default(), cal),
-                gate_serve,
-            ) {
-                Some(outcome) => {
-                    all_passed &= outcome.passed();
-                    summary.push(("serve", outcome));
-                }
-                None => all_passed = false,
-            },
-        }
-    }
-
-    if !args.iter().any(|a| a == "--skip-artifact") {
-        let baseline = match load_json(&root.join("BENCH_artifact.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("artifact gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match arg_path(&args, "--candidate-artifact") {
-            Some(p) => match load_json(&p).and_then(|cand| gate_artifact(&baseline, &cand, tol)) {
-                Ok(outcome) => {
-                    all_passed &= report_outcome("artifact gate", &outcome);
-                    summary.push(("artifact", outcome));
-                }
-                Err(e) => {
-                    eprintln!("artifact gate: {e}");
-                    all_passed = false;
-                }
-            },
-            None => match gated_min_time_suite(
-                "artifact gate",
-                &baseline,
-                tol,
-                &out_dir,
-                "candidate_artifact.json",
-                |_| {
-                    let r = run_artifact_suite(QUICK_REPS, ArtifactLoad::default());
-                    println!(
-                        "  json load {:>12} ns   binary load {:>12} ns ({:.2}x)",
-                        r.json_load_min_ns,
-                        r.bin_load_min_ns,
-                        cbmf_bench::artifact::binary_speedup(&r)
-                    );
-                    vec![r]
-                },
-                merge_min_artifact,
-                |merged, cal| {
-                    render_artifact_report(&merged[0], QUICK_REPS, ArtifactLoad::default(), cal)
-                },
-                gate_artifact,
-            ) {
-                Some(outcome) => {
-                    all_passed &= outcome.passed();
-                    summary.push(("artifact", outcome));
-                }
-                None => all_passed = false,
-            },
-        }
-    }
-
-    if !args.iter().any(|a| a == "--skip-accuracy") {
-        let baseline = match load_json(&root.join("BASELINE_accuracy.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("accuracy gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let candidate = match arg_path(&args, "--candidate-accuracy") {
-            Some(p) => match load_json(&p) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("accuracy gate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => {
-                println!("accuracy gate: running smoke fits...");
-                let doc = render_accuracy_report(&run_accuracy_smoke());
-                save_candidate(&out_dir, "candidate_accuracy.json", &doc);
-                doc
-            }
-        };
-        match gate_accuracy(&baseline, &candidate, tol) {
+    let mut summary: Vec<(String, GateOutcome)> = Vec::new();
+    for (bench, candidate) in jobs {
+        match gate_bench(&bench, candidate, tol, out_dir) {
             Ok(outcome) => {
-                all_passed &= report_outcome("accuracy gate", &outcome);
-                summary.push(("accuracy", outcome));
+                let verdict = if outcome.passed() { "PASS" } else { "FAIL" };
+                println!("{bench}: {verdict} ({} comparisons)", outcome.rows.len());
+                for f in &outcome.failures {
+                    println!("  {f}");
+                }
+                all_passed &= outcome.passed();
+                summary.push((bench, outcome));
             }
             Err(e) => {
-                eprintln!("accuracy gate: {e}");
+                eprintln!("{bench}: {e}");
                 all_passed = false;
             }
         }
     }
-
-    if !args.iter().any(|a| a == "--skip-backends") {
-        let baseline = match load_json(&root.join("BENCH_backends.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("backends gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let candidate = match arg_path(&args, "--candidate-backends") {
-            Some(p) => match load_json(&p) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("backends gate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => {
-                // One-shot, no retries: the sweep is seeded and bitwise
-                // deterministic, so a drift is a real behavioral change
-                // (same policy as the accuracy gate).
-                println!("backends gate: running backend sweep...");
-                let doc =
-                    render_backends_report(&run_backends_suite(|_| {}), Calibration::measure());
-                save_candidate(&out_dir, "candidate_backends.json", &doc);
-                doc
-            }
-        };
-        match gate_backends(&baseline, &candidate, tol) {
-            Ok(outcome) => {
-                all_passed &= report_outcome("backends gate", &outcome);
-                summary.push(("backends", outcome));
-            }
-            Err(e) => {
-                eprintln!("backends gate: {e}");
-                all_passed = false;
-            }
-        }
-    }
-
-    if !args.iter().any(|a| a == "--skip-stream") {
-        let baseline = match load_json(&root.join("BENCH_stream.json")) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("stream gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let candidate = match arg_path(&args, "--candidate-stream") {
-            Some(p) => match load_json(&p) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("stream gate: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => {
-                // One-shot, no retries: the streaming sweep is seeded and
-                // bitwise deterministic, so a drift is a real behavioral
-                // change (same policy as the backends gate).
-                println!("stream gate: running streaming sweep...");
-                let doc = render_stream_report(&run_stream_suite(|_| {}), Calibration::measure());
-                save_candidate(&out_dir, "candidate_stream.json", &doc);
-                doc
-            }
-        };
-        match gate_stream(&baseline, &candidate, tol) {
-            Ok(outcome) => {
-                all_passed &= report_outcome("stream gate", &outcome);
-                summary.push(("stream", outcome));
-            }
-            Err(e) => {
-                eprintln!("stream gate: {e}");
-                all_passed = false;
-            }
-        }
-    }
-
-    // One verdict table per run, covering every comparison of every gate
-    // that produced an outcome — CI appends it to the job summary page.
-    if !summary.is_empty() {
-        let refs: Vec<(&str, &GateOutcome)> = summary.iter().map(|(l, o)| (*l, o)).collect();
-        let table = render_step_summary(&refs);
-        if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
-            use std::io::Write;
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    if let Err(e) = f.write_all(table.as_bytes()) {
-                        eprintln!("step summary: write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("step summary: open {path}: {e}"),
-            }
-        }
-    }
+    let refs: Vec<(&str, &GateOutcome)> = summary.iter().map(|(b, o)| (b.as_str(), o)).collect();
+    append_step_summary(&render_step_summary(&refs));
 
     if all_passed {
         println!("ci-gate: all gates passed");

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use cbmf::{BasisSpec, CbmfConfig, CbmfFit, PosteriorPredictive, TunableProblem, WarmStart};
+use cbmf::{PosteriorPredictive, WarmStart};
 use cbmf_circuits::{Lna, Mixer, MonteCarlo, Testbench, Vco};
 use cbmf_serve::ModelArtifact;
 use cbmf_stats::seeded_rng;
@@ -46,27 +46,8 @@ fn fit_one(
     let ds = MonteCarlo::new(8)
         .collect(circuit, &mut rng)
         .expect("Monte Carlo collection");
-    let keep_states = ds.states.len().min(6);
-    let keep_vars = 40;
-    let xs: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.x.block(0, s.x.rows(), 0, keep_vars.min(s.x.cols())))
-        .collect();
-    let ys: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.metric(metric))
-        .collect();
-    let problem =
-        TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).expect("problem assembles");
-
-    let mut cfg = CbmfConfig::small_problem();
-    cfg.grid.theta = vec![4, 8];
-    cfg.em.max_iters = 5;
-    let fit = CbmfFit::new(cfg);
+    let problem = cbmf_bench::reduced_problem(&ds, metric);
+    let fit = cbmf_bench::reduced_cbmf();
     let outcome = match warm.filter(|w| w.fits(&problem)) {
         Some(w) => fit
             .fit_warm(&problem, w, &mut rng)

@@ -1,10 +1,9 @@
 //! Closed-loop load generator: drives the serving suite of
 //! [`cbmf_bench::serve`] against an in-process loopback
 //! `cbmf_server::PredictionServer` and writes the canonical
-//! `BENCH_serve.json` at the repository root. The `ci_gate` binary
-//! compares fresh re-runs against the committed document under the same
-//! min-time × calibration-ratio rule as the other suites, plus the
-//! coalescing-gain floor at concurrency 64.
+//! `BENCH_serve.json` at the repository root (the report `ci_gate
+//! --write-baseline serve` also writes). The `ci_gate` binary gates fresh
+//! re-runs against the committed document.
 //!
 //! Run with `cargo run --release -p cbmf-bench --bin loadgen`.
 //!
@@ -29,8 +28,7 @@ use std::sync::Arc;
 
 use cbmf_bench::kernels::{Calibration, BASELINE_REPS, QUICK_REPS};
 use cbmf_bench::serve::{
-    render_serve_report, run_serve_suite_on, serving_gp_predictor, var_gain, ServeLoad,
-    GP_ROWS_PER_STATE,
+    run_serve_suite_on, serving_gp_predictor, var_gain, ServeLoad, GP_ROWS_PER_STATE,
 };
 use cbmf_serve::{BatchPredictor, ModelArtifact, ModelRegistry};
 use cbmf_trace::{Json, ReportMeta};
@@ -118,28 +116,22 @@ fn main() {
             "clients {:>3}   mean {:>9} ns/req (uncoalesced {:>9})   \
              var {:>9} ns/req (uncoalesced {:>9}, gain {:.2}x)",
             r.clients,
-            r.mean_coalesced_min_ns,
-            r.mean_uncoalesced_min_ns,
-            r.var_coalesced_min_ns,
-            r.var_uncoalesced_min_ns,
+            r.mean_coalesced.1,
+            r.mean_uncoalesced.1,
+            r.var_coalesced.1,
+            r.var_uncoalesced.1,
             var_gain(r),
         );
     });
     // Min of calibrations bracketing the suite, as in every other baseline.
     let calibration = cal_before.min_with(Calibration::measure());
 
-    let mut doc = render_serve_report(&results, reps, load, calibration);
-    if let (Some(note), Json::Obj(map)) = (workload_note, &mut doc) {
-        // Off-baseline runs (artifact / paper-scale) record what was
-        // actually served; the workload constants describe the default
-        // synthetic GP only.
-        map.insert("workload_override".to_string(), Json::Str(note));
+    if let Some(note) = workload_note {
+        // Off-baseline runs (artifact / registry / paper-scale) serve
+        // something other than the workload rows describe.
+        println!("served: {note}");
     }
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out, format!("{}\n", doc.to_pretty())).expect("write serve report");
-    println!("\nwrote {}", out.display());
+    cbmf_bench::serve::report(&results, reps, load, calibration).save(&out);
 
     if cbmf_trace::enabled() {
         let meta = ReportMeta::new("loadgen")

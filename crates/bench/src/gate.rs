@@ -1,82 +1,423 @@
-//! The CI regression gates: perf (kernel medians vs `BENCH_kernels.json`),
-//! accuracy (smoke-fit errors vs `BASELINE_accuracy.json`), predict
-//! (`BENCH_predict.json`), serving (`BENCH_serve.json`) and artifact
-//! serialization (`BENCH_artifact.json`).
+//! The one report envelope every committed bench writes, and the one gate
+//! that compares a fresh run against it.
 //!
-//! The gate logic lives here as plain functions over parsed [`Json`]
-//! documents so it is unit-testable without running any benchmark; the
-//! `ci-gate` binary is a thin wrapper that produces fresh candidate
-//! documents and feeds them through these checks.
+//! Every `BENCH_*.json` and `BASELINE_accuracy.json` is a [`Report`]:
 //!
-//! # Thresholds
+//! ```text
+//! {"schema": "cbmf-bench/1", "bench": "<suite>", "host": {...},
+//!  "calibration": {"cache_ns": .., "dram_ns": ..} | null,
+//!  "rows": [{"id": .., "value": .., "unit": .., "rule": .., ["limit": ..], ["probe": "dram"]}]}
+//! ```
 //!
-//! Both gates use an explicit *relative* tolerance, default
-//! [`DEFAULT_TOL`] = 0.20: a kernel fails when its candidate **minimum**
-//! time exceeds `baseline_minimum · host_scale · (1 + tol)` (scheduling
-//! noise only ever adds time, so minima are the noise-robust statistic —
-//! medians on a busy runner flap), and a smoke case fails when its
-//! candidate error exceeds `baseline_error · (1 + tol) + 0.01` (the small
-//! absolute floor keeps near-zero baselines from rejecting round-off).
-//! `host_scale` is the ratio of the two documents' `calibration_ns`
-//! fields — a fixed small workload timed on each host — which lets a CI
-//! runner of different single-core speed compare against a baseline
-//! recorded elsewhere.
+//! Each row names the [`Rule`] the gate applies to it. With `b` the
+//! committed baseline value, `c` the candidate value and `tol` the relative
+//! tolerance ([`DEFAULT_TOL`] unless overridden):
 //!
-//! Entries whose working set leaves the last-level cache are scaled by the
-//! ratio of the `calibration_dram_ns` fields instead (the strided-triad
-//! bandwidth probe): core-speed calibration systematically mispredicts
-//! bandwidth-bound rows, which made the 4096-row predict gate flap on
-//! hosts whose DRAM and core speeds diverge. [`DRAM_GATED_BATCHES`] lists
-//! the rows on the bandwidth ratio.
+//! | rule | passes when |
+//! |------|-------------|
+//! | `min_time` | `c ≤ b · scale · (1 + tol)`; `scale` is the candidate/baseline ratio of the cache probe, or of the DRAM probe for `"probe": "dram"` rows |
+//! | `drift` | `c ≤ b · (1 + tol) + 0.01` |
+//! | `exact` | `c = b` |
+//! | `ceiling` | `c ≤ b` |
+//! | `floor` | `c ≥ limit / (1 + tol)` |
+//! | `bitwise` | `c = 1` |
+//! | `dominates` | `c ≤ limit · (1 + tol) + 0.01` |
+//! | `info` | never gated (recorded for readers) |
+//!
+//! `min_time`, `drift`, `exact` and `ceiling` compare the candidate with the
+//! baseline. `floor`, `bitwise` and `dominates` are claims a run makes about
+//! itself — the coalescing gain, C-BMF beating each backend at equal budget,
+//! a one-chunk stream reproducing the batch fit — so their `value` and
+//! `limit` are read from the candidate; the baseline row only demands that
+//! the claim be present. Every gated baseline row must exist in the
+//! candidate; candidate-only rows are additions, not regressions.
+//!
+//! Minimum times are the timed statistic throughout: scheduling noise only
+//! ever adds time, so minima are what a busy runner reproduces. The two
+//! calibration probes ([`crate::kernels::Calibration`]) let a runner of
+//! different core or memory speed compare against a baseline recorded
+//! elsewhere.
+
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 use cbmf_trace::Json;
 
-use crate::artifact::{validate_artifact_report, ARTIFACT_MIN_FIELDS, MIN_BINARY_SPEEDUP};
-use crate::backends::validate_backends_report;
-use crate::kernels::validate_bench_report;
-use crate::predict::validate_predict_report;
-use crate::serve::{validate_serve_report, MIN_COALESCING_GAIN, SERVE_MIN_FIELDS};
-use crate::smoke::validate_accuracy_report;
-use crate::stream::{validate_stream_report, MIN_SAVED_CIRCUITS, MIN_SAVED_PCT};
+use crate::kernels::{host_with_isa, Calibration};
 
-/// Default relative tolerance of the gates (20 %).
+/// Schema tag of every bench report.
+pub const SCHEMA: &str = "cbmf-bench/1";
+
+/// Default relative tolerance of the gate (20 %).
 pub const DEFAULT_TOL: f64 = 0.20;
 
-/// Absolute slack added to accuracy thresholds, in error-percent units.
+/// Absolute slack of the `drift` and `dominates` rules, in the row's units
+/// (error percent): keeps near-zero baselines from rejecting round-off.
 pub const ACCURACY_ABS_SLACK: f64 = 0.01;
 
-/// Predict-suite entries gated against the DRAM-bandwidth calibration
-/// ratio rather than the cache-resident one: the 4096-row batch streams
-/// the largest working set of the suite and tracks memory bandwidth, not
-/// core speed.
-pub const DRAM_GATED_BATCHES: &[&str] = &["batch_4096"];
+/// Every committed bench, in gating order.
+pub const BENCHES: [&str; 7] = [
+    "kernels", "predict", "serve", "artifact", "accuracy", "backends", "stream",
+];
 
-/// One comparison a gate performed, in table-renderable form. Units depend
-/// on the check (nanoseconds for perf/predict/serve rows, error-percent or
-/// counts for accuracy rows); the check name carries the field. A
-/// `candidate` of NaN marks an entry missing from the candidate document.
+/// Path of a bench's committed baseline at the repository root.
+pub fn baseline_path(bench: &str) -> PathBuf {
+    let name = if bench == "accuracy" {
+        "BASELINE_accuracy.json".to_string()
+    } else {
+        format!("BENCH_{bench}.json")
+    };
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(name)
+}
+
+/// How the gate judges one row (see the module docs for the table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rule {
+    /// Calibration-scaled minimum time, compared with the baseline.
+    MinTime,
+    /// Relative-plus-absolute tolerance above the baseline.
+    Drift,
+    /// Equal to the baseline.
+    Exact,
+    /// At most the baseline.
+    Ceiling,
+    /// At least the row's `limit`, relaxed by the tolerance.
+    Floor,
+    /// A candidate-side boolean (1 = holds) that must hold.
+    Bitwise,
+    /// At most the row's `limit` (another number of the same run), within
+    /// the `drift` tolerance.
+    Dominates,
+    /// Recorded, never gated.
+    Info,
+}
+
+impl Rule {
+    /// Every rule with its name in a report, in table order.
+    pub const ALL: [(Rule, &'static str); 8] = [
+        (Rule::MinTime, "min_time"),
+        (Rule::Drift, "drift"),
+        (Rule::Exact, "exact"),
+        (Rule::Ceiling, "ceiling"),
+        (Rule::Floor, "floor"),
+        (Rule::Bitwise, "bitwise"),
+        (Rule::Dominates, "dominates"),
+        (Rule::Info, "info"),
+    ];
+
+    /// The rule's name in a report.
+    pub fn name(self) -> &'static str {
+        Rule::ALL
+            .iter()
+            .find(|(r, _)| *r == self)
+            .expect("every rule")
+            .1
+    }
+}
+
+/// One measured or derived number of a report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Stable identifier, unique within the report.
+    pub id: String,
+    /// The number.
+    pub value: f64,
+    /// Unit label (`ns`, `%`, `count`, `bytes`, `x`, `bool`, ...).
+    pub unit: String,
+    /// How the gate judges the row.
+    pub rule: Rule,
+    /// The bound of a `floor` or `dominates` row.
+    pub limit: Option<f64>,
+    /// Whether a `min_time` row scales by the DRAM probe instead of the
+    /// cache probe (its working set leaves the last-level cache).
+    pub dram: bool,
+}
+
+impl Row {
+    /// Sets the bound of a `floor` or `dominates` row.
+    pub fn limit(&mut self, limit: f64) -> &mut Row {
+        self.limit = Some(limit);
+        self
+    }
+
+    /// Scales a `min_time` row by the DRAM probe.
+    pub fn on_dram(&mut self) -> &mut Row {
+        self.dram = true;
+        self
+    }
+
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("id".to_string(), Json::Str(self.id.clone())),
+            ("value".to_string(), Json::Num(self.value)),
+            ("unit".to_string(), Json::Str(self.unit.clone())),
+            ("rule".to_string(), Json::Str(self.rule.name().to_string())),
+        ];
+        if let Some(limit) = self.limit {
+            fields.push(("limit".to_string(), Json::Num(limit)));
+        }
+        if self.dram {
+            fields.push(("probe".to_string(), Json::Str("dram".to_string())));
+        }
+        Json::obj(fields)
+    }
+
+    fn from_json(doc: &Json) -> Result<Row, String> {
+        let id = doc
+            .get("id")
+            .and_then(Json::as_str)
+            .filter(|s| !s.is_empty())
+            .ok_or("row without an 'id'")?;
+        let bad = |what: &str| format!("row '{id}': {what}");
+        let value = doc
+            .get("value")
+            .and_then(Json::as_f64)
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| bad("missing or non-finite 'value'"))?;
+        let unit = doc
+            .get("unit")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("missing 'unit'"))?;
+        let rule_name = doc.get("rule").and_then(Json::as_str).unwrap_or("");
+        let rule = Rule::ALL
+            .into_iter()
+            .find(|(_, name)| *name == rule_name)
+            .ok_or_else(|| bad(&format!("unknown rule '{rule_name}'")))?
+            .0;
+        let limit = doc.get("limit").and_then(Json::as_f64);
+        if matches!(rule, Rule::Floor | Rule::Dominates) != limit.is_some() {
+            return Err(bad(
+                "a 'limit' belongs to exactly the floor and dominates rules",
+            ));
+        }
+        let dram = match doc.get("probe") {
+            None => false,
+            Some(Json::Str(p)) if p == "dram" && rule == Rule::MinTime => true,
+            Some(_) => return Err(bad("'probe' must be \"dram\" on a min_time row")),
+        };
+        Ok(Row {
+            id: id.to_string(),
+            value,
+            unit: unit.to_string(),
+            rule,
+            limit,
+            dram,
+        })
+    }
+}
+
+/// One bench run in the shared envelope.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// Suite name, one of [`BENCHES`].
+    pub bench: String,
+    /// Host descriptor (`threads`, `os`, `arch`, `simd_isa`).
+    pub host: Json,
+    /// Host-speed probes; required when any row is `min_time`.
+    pub calibration: Option<Calibration>,
+    /// Rows in emission order.
+    pub rows: Vec<Row>,
+}
+
+impl Report {
+    /// An empty report for this host.
+    pub fn new(bench: &str, calibration: Option<Calibration>) -> Report {
+        Report {
+            bench: bench.to_string(),
+            host: host_with_isa(),
+            calibration,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row and returns it for [`Row::limit`] / [`Row::on_dram`].
+    pub fn push(&mut self, id: impl Into<String>, value: f64, unit: &str, rule: Rule) -> &mut Row {
+        self.rows.push(Row {
+            id: id.into(),
+            value,
+            unit: unit.to_string(),
+            rule,
+            limit: None,
+            dram: false,
+        });
+        self.rows.last_mut().expect("just pushed")
+    }
+
+    /// Appends an `info` row.
+    pub fn info(&mut self, id: impl Into<String>, value: f64, unit: &str) -> &mut Row {
+        self.push(id, value, unit, Rule::Info)
+    }
+
+    /// Appends the `{id}_median_ns` (info) and `{id}_min_ns` (`min_time`)
+    /// rows of one `(median, min)` timing, returning the gated row.
+    pub fn timing(&mut self, id: &str, (median, min): (u128, u128)) -> &mut Row {
+        self.info(format!("{id}_median_ns"), median as f64, "ns");
+        self.push(format!("{id}_min_ns"), min as f64, "ns", Rule::MinTime)
+    }
+
+    /// The row with this id.
+    pub fn row(&self, id: &str) -> Option<&Row> {
+        self.rows.iter().find(|r| r.id == id)
+    }
+
+    /// The value of the row with this id.
+    pub fn value(&self, id: &str) -> Option<f64> {
+        self.row(id).map(|r| r.value)
+    }
+
+    /// The canonical text: sorted envelope keys, one row per line, rows in
+    /// emission order. Parsing and re-rendering reproduces it byte for byte.
+    pub fn render(&self) -> String {
+        let calibration = match self.calibration {
+            Some(c) => Json::obj([
+                ("cache_ns".to_string(), Json::Num(c.cache_ns as f64)),
+                ("dram_ns".to_string(), Json::Num(c.dram_ns as f64)),
+            ]),
+            None => Json::Null,
+        };
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| format!("    {}", r.to_json().to_compact()))
+            .collect();
+        format!(
+            "{{\n  \"bench\": {},\n  \"calibration\": {},\n  \"host\": {},\n  \"rows\": [\n{}\n  ],\n  \"schema\": \"{SCHEMA}\"\n}}\n",
+            Json::Str(self.bench.clone()).to_compact(),
+            calibration.to_compact(),
+            self.host.to_compact(),
+            rows.join(",\n"),
+        )
+    }
+
+    /// Parses and validates a report document.
+    ///
+    /// # Errors
+    ///
+    /// A reason string for malformed JSON or a document outside the
+    /// envelope: wrong schema, missing bench or host, bad calibration, no
+    /// rows, duplicate ids, unknown rules, a misplaced `limit` or `probe`,
+    /// or a `min_time` row without calibration.
+    pub fn parse(text: &str) -> Result<Report, String> {
+        let doc = Json::parse(text).map_err(|e| format!("parse: {e}"))?;
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(SCHEMA) => {}
+            other => return Err(format!("schema {other:?} is not '{SCHEMA}'")),
+        }
+        let bench = doc
+            .get("bench")
+            .and_then(Json::as_str)
+            .filter(|s| !s.is_empty())
+            .ok_or("missing 'bench'")?;
+        let host = doc
+            .get("host")
+            .filter(|h| h.as_obj().is_some())
+            .ok_or("missing 'host' object")?;
+        let calibration = match doc.get("calibration") {
+            None | Some(Json::Null) => None,
+            Some(c) => {
+                let probe = |k: &str| {
+                    c.get(k)
+                        .and_then(Json::as_f64)
+                        .filter(|v| *v > 0.0)
+                        .map(|v| v as u128)
+                        .ok_or(format!("missing or non-positive 'calibration.{k}'"))
+                };
+                Some(Calibration {
+                    cache_ns: probe("cache_ns")?,
+                    dram_ns: probe("dram_ns")?,
+                })
+            }
+        };
+        let rows = doc
+            .get("rows")
+            .and_then(Json::as_arr)
+            .filter(|r| !r.is_empty())
+            .ok_or("missing or empty 'rows'")?
+            .iter()
+            .map(Row::from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut seen = HashSet::new();
+        for r in &rows {
+            if !seen.insert(r.id.as_str()) {
+                return Err(format!("duplicate row id '{}'", r.id));
+            }
+            if r.rule == Rule::MinTime && calibration.is_none() {
+                return Err(format!("min_time row '{}' needs a calibration", r.id));
+            }
+        }
+        Ok(Report {
+            bench: bench.to_string(),
+            host: host.clone(),
+            calibration,
+            rows,
+        })
+    }
+
+    /// Reads and validates a report file.
+    ///
+    /// # Errors
+    ///
+    /// A reason string naming the path on read or validation failure.
+    pub fn load(path: &Path) -> Result<Report, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Report::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// Writes [`Report::render`] to `path`, creating its directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the file cannot be written (a harness-level condition).
+    pub fn save(&self, path: &Path) {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).expect("create report directory");
+        }
+        std::fs::write(path, self.render())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+    }
+
+    /// Folds a re-run into this report: nanosecond rows and probes keep the
+    /// minimum (noise only adds time), `floor` rows the maximum, and every
+    /// other row its first value. Retrying a timing suite this way filters
+    /// scheduling noise while a genuine slowdown fails every attempt.
+    pub fn merge_min(&mut self, rerun: &Report) {
+        if let (Some(a), Some(b)) = (self.calibration, rerun.calibration) {
+            self.calibration = Some(a.min_with(b));
+        }
+        for r in &mut self.rows {
+            let Some(n) = rerun.row(&r.id) else { continue };
+            if r.rule == Rule::Floor {
+                r.value = r.value.max(n.value);
+            } else if r.unit == "ns" {
+                r.value = r.value.min(n.value);
+            }
+        }
+    }
+}
+
+/// One comparison the gate performed, in table-renderable form. A
+/// `candidate` of NaN marks a row missing from the candidate.
 #[derive(Debug, Clone)]
 pub struct GateRow {
-    /// What was compared, e.g. `matmul_800 serial_min_ns`.
+    /// The row id.
     pub check: String,
     /// Baseline value.
     pub baseline: f64,
-    /// Candidate value (NaN when missing from the candidate run).
+    /// Candidate value (NaN when missing).
     pub candidate: f64,
-    /// Threshold: the largest candidate value that still passes — or, for
-    /// floor-style checks (marked `(floor)` in the name), the smallest.
+    /// The threshold the rule derived: the largest passing candidate value,
+    /// or the smallest for `floor` rows.
     pub allowed: f64,
     /// Whether this comparison passed.
     pub passed: bool,
 }
 
-/// Outcome of one gate: every comparison that ran, with its failures.
+/// Outcome of gating one report: every comparison, with its failures.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
     /// Human-readable failure lines; empty means the gate passed.
     pub failures: Vec<String>,
-    /// Number of individual comparisons performed.
-    pub checked: usize,
     /// Every comparison as a structured row (for the CI verdict table).
     pub rows: Vec<GateRow>,
 }
@@ -86,17 +427,81 @@ impl GateOutcome {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
+}
 
-    fn row(&mut self, check: String, baseline: f64, candidate: f64, allowed: f64, passed: bool) {
-        self.checked += 1;
-        self.rows.push(GateRow {
-            check,
-            baseline,
-            candidate,
+/// Compares a candidate run with the committed baseline of the same bench
+/// under each gated baseline row's [`Rule`].
+///
+/// # Errors
+///
+/// A reason string when the two reports belong to different benches, or a
+/// `min_time` row cannot be scaled because the candidate has no
+/// calibration.
+pub fn gate(baseline: &Report, candidate: &Report, tol: f64) -> Result<GateOutcome, String> {
+    if baseline.bench != candidate.bench {
+        return Err(format!(
+            "candidate bench '{}' is not baseline bench '{}'",
+            candidate.bench, baseline.bench
+        ));
+    }
+    let scales = match (baseline.calibration, candidate.calibration) {
+        (Some(b), Some(c)) => Some((
+            c.cache_ns as f64 / b.cache_ns as f64,
+            c.dram_ns as f64 / b.dram_ns as f64,
+        )),
+        _ => None,
+    };
+    let mut out = GateOutcome::default();
+    for b in baseline.rows.iter().filter(|r| r.rule != Rule::Info) {
+        let c = candidate.row(&b.id);
+        let value = c.map_or(f64::NAN, |c| c.value);
+        let limit = c.and_then(|c| c.limit).unwrap_or(f64::NAN);
+        let (allowed, passed) = match b.rule {
+            Rule::MinTime => {
+                let (cache, dram) =
+                    scales.ok_or(format!("min_time row '{}' without calibration", b.id))?;
+                let allowed = b.value * if b.dram { dram } else { cache } * (1.0 + tol);
+                (allowed, value <= allowed)
+            }
+            Rule::Drift => {
+                let allowed = b.value * (1.0 + tol) + ACCURACY_ABS_SLACK;
+                (allowed, value <= allowed)
+            }
+            Rule::Exact => (b.value, value == b.value),
+            Rule::Ceiling => (b.value, value <= b.value),
+            Rule::Floor => {
+                let allowed = limit / (1.0 + tol);
+                (allowed, value >= allowed)
+            }
+            Rule::Bitwise => (1.0, value == 1.0),
+            Rule::Dominates => {
+                let allowed = limit * (1.0 + tol) + ACCURACY_ABS_SLACK;
+                (allowed, value <= allowed)
+            }
+            Rule::Info => unreachable!("filtered above"),
+        };
+        out.rows.push(GateRow {
+            check: b.id.clone(),
+            baseline: b.value,
+            candidate: value,
             allowed,
             passed,
         });
+        if c.is_none() {
+            out.failures
+                .push(format!("{}: missing from candidate run", b.id));
+        } else if !passed {
+            let probe = if b.dram { ", dram probe" } else { "" };
+            out.failures.push(format!(
+                "{}: {value} {} fails {} (allowed {allowed:.4}, baseline {}{probe})",
+                b.id,
+                b.unit,
+                b.rule.name(),
+                b.value
+            ));
+        }
     }
+    Ok(out)
 }
 
 fn fmt_cell(v: f64) -> String {
@@ -109,11 +514,9 @@ fn fmt_cell(v: f64) -> String {
     }
 }
 
-/// Renders the verdict table CI posts to `$GITHUB_STEP_SUMMARY`: one row
-/// per comparison across every gate that ran, baseline vs candidate vs the
-/// allowed threshold. Perf/predict rows are in nanoseconds (min statistic,
-/// already host-scaled into `allowed`); accuracy rows are error-percent,
-/// support sizes, or recovery counts.
+/// Renders the verdict table CI posts to `$GITHUB_STEP_SUMMARY`: one line
+/// per comparison across every gated bench, baseline vs candidate vs the
+/// allowed threshold, then the failures.
 pub fn render_step_summary(gates: &[(&str, &GateOutcome)]) -> String {
     let mut out = String::from("## CI regression gate verdict\n\n");
     out.push_str("| gate | check | baseline | candidate | allowed | verdict |\n");
@@ -131,7 +534,7 @@ pub fn render_step_summary(gates: &[(&str, &GateOutcome)]) -> String {
         }
     }
     let failures: usize = gates.iter().map(|(_, o)| o.failures.len()).sum();
-    let checked: usize = gates.iter().map(|(_, o)| o.checked).sum();
+    let checked: usize = gates.iter().map(|(_, o)| o.rows.len()).sum();
     if failures == 0 {
         out.push_str(&format!("\nAll {checked} comparisons passed.\n"));
     } else {
@@ -147,1245 +550,435 @@ pub fn render_step_summary(gates: &[(&str, &GateOutcome)]) -> String {
     out
 }
 
-/// Compares a fresh kernel-suite run against the committed baseline.
-///
-/// Every kernel present in the *baseline* must exist in the candidate and
-/// beat the scaled threshold on both its serial and parallel minimum
-/// times. Kernels only present in the candidate are ignored (additions are
-/// not regressions).
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation or
-/// lacks a usable `calibration_ns`.
-pub fn gate_kernels(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_bench_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_bench_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    gate_min_times(
-        baseline,
-        candidate,
-        tol,
-        "kernels",
-        "kernel",
-        &[],
-        MIN_TIME_FIELDS,
-    )
-}
-
-/// Compares a fresh predict-suite run against the committed
-/// `BENCH_predict.json` baseline, under the exact rule of [`gate_kernels`]:
-/// every batch size's serial and parallel **minimum** ns/sample must stay
-/// within `baseline · host_scale · (1 + tol)`. The [`DRAM_GATED_BATCHES`]
-/// rows use the bandwidth-probe ratio as their `host_scale`.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation or
-/// lacks a usable `calibration_ns`.
-pub fn gate_predict(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_predict_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_predict_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    gate_min_times(
-        baseline,
-        candidate,
-        tol,
-        "batches",
-        "batch",
-        DRAM_GATED_BATCHES,
-        MIN_TIME_FIELDS,
-    )
-}
-
-/// Compares a fresh serving-suite run against the committed
-/// `BENCH_serve.json` baseline.
-///
-/// Two families of checks:
-///
-/// 1. **Min-time rows** — every concurrency level's per-request minimum
-///    times ([`SERVE_MIN_FIELDS`]) must stay within
-///    `baseline · host_scale · (1 + tol)`, exactly like [`gate_kernels`].
-/// 2. **Coalescing-gain floor** — at 64 clients, the candidate's
-///    uncertainty-path gain (`var_uncoalesced_min_ns /
-///    var_coalesced_min_ns`, recomputed from the minima rather than read
-///    from the rounded `var_coalescing_gain` field) must stay at least
-///    [`MIN_COALESCING_GAIN`]` / (1 + tol)`. The gain is a same-host ratio,
-///    so no calibration scaling applies; the tolerance division gives the
-///    floor the same relative slack as the time rows.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation or
-/// lacks a usable `calibration_ns`.
-pub fn gate_serve(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_serve_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_serve_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let mut out = gate_min_times(
-        baseline,
-        candidate,
-        tol,
-        "clients",
-        "clients entry",
-        &[],
-        SERVE_MIN_FIELDS,
-    )?;
-
-    let gain_key = crate::serve::clients_key(64);
-    let gain_of = |doc: &Json| -> Option<f64> {
-        let entry = doc.get("clients")?.get(&gain_key)?;
-        let co = entry.get("var_coalesced_min_ns").and_then(Json::as_f64)?;
-        let un = entry.get("var_uncoalesced_min_ns").and_then(Json::as_f64)?;
-        Some(un / co)
-    };
-    let required = MIN_COALESCING_GAIN / (1.0 + tol);
-    let check = format!("{gain_key} var_coalescing_gain (floor)");
-    match (gain_of(baseline), gain_of(candidate)) {
-        (Some(b), Some(c)) => {
-            let passed = c >= required;
-            out.row(check, b, c, required, passed);
-            if !passed {
-                out.failures.push(format!(
-                    "clients entry '{gain_key}' coalescing gain: {c:.3} < required \
-                     {required:.3} (floor {MIN_COALESCING_GAIN} / {:.2})",
-                    1.0 + tol
-                ));
-            }
-        }
-        (b, c) => {
-            out.row(
-                check,
-                b.unwrap_or(f64::NAN),
-                c.unwrap_or(f64::NAN),
-                required,
-                false,
-            );
-            out.failures.push(format!(
-                "clients entry '{gain_key}': missing from {} run — cannot check the \
-                 coalescing-gain floor",
-                if b.is_none() { "baseline" } else { "candidate" }
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Compares a fresh artifact-suite run against the committed
-/// `BENCH_artifact.json` baseline.
-///
-/// Three families of checks:
-///
-/// 1. **Min-time rows** — each encoding's `load_min_ns` / `save_min_ns`
-///    ([`ARTIFACT_MIN_FIELDS`]) must stay within
-///    `baseline · host_scale · (1 + tol)`, exactly like [`gate_kernels`].
-/// 2. **Load-speedup floor** — the candidate's binary-over-JSON load
-///    speedup (`json.load_min_ns / binary.load_min_ns`, recomputed from the
-///    minima rather than read from the rounded `load_speedup` field) must
-///    stay at least [`MIN_BINARY_SPEEDUP`]` / (1 + tol)`. A same-host
-///    ratio, so no calibration scaling applies.
-/// 3. **Size sanity** — the binary encoding must stay strictly smaller
-///    than the JSON encoding; a format change that bloats the binary past
-///    the text form defeats its purpose.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation or
-/// lacks a usable `calibration_ns`.
-pub fn gate_artifact(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_artifact_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_artifact_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let cal = |doc: &Json| {
-        doc.get("calibration_ns")
-            .and_then(Json::as_f64)
-            .expect("validated above")
-    };
-    let host_scale = cal(candidate) / cal(baseline);
-
-    let mut out = GateOutcome::default();
-    for section in ["binary", "json"] {
-        for &field in ARTIFACT_MIN_FIELDS {
-            let v = |doc: &Json| {
-                doc.get(section)
-                    .and_then(|s| s.get(field))
-                    .and_then(Json::as_f64)
-                    .expect("validated above")
-            };
-            let (b, c) = (v(baseline), v(candidate));
-            let allowed = b * host_scale * (1.0 + tol);
-            let passed = c <= allowed;
-            out.row(format!("{section} {field}"), b, c, allowed, passed);
-            if !passed {
-                out.failures.push(format!(
-                    "encoding '{section}' {field}: {c:.0} ns > allowed {allowed:.0} ns \
-                     (baseline {b:.0} ns x host_scale {host_scale:.3} x {:.2})",
-                    1.0 + tol
-                ));
-            }
-        }
-    }
-
-    let speedup = |doc: &Json| {
-        let min = |section: &str| {
-            doc.get(section)
-                .and_then(|s| s.get("load_min_ns"))
-                .and_then(Json::as_f64)
-                .expect("validated above")
-        };
-        min("json") / min("binary")
-    };
-    let required = MIN_BINARY_SPEEDUP / (1.0 + tol);
-    let (b, c) = (speedup(baseline), speedup(candidate));
-    let passed = c >= required;
-    out.row("load_speedup (floor)".to_string(), b, c, required, passed);
-    if !passed {
-        out.failures.push(format!(
-            "binary load speedup: {c:.3}x < required {required:.3}x \
-             (floor {MIN_BINARY_SPEEDUP} / {:.2})",
-            1.0 + tol
-        ));
-    }
-
-    let size = |doc: &Json, field: &str| {
-        doc.get("sizes")
-            .and_then(|s| s.get(field))
-            .and_then(Json::as_f64)
-            .expect("validated above")
-    };
-    let (bin, json) = (size(candidate, "bin_bytes"), size(candidate, "json_bytes"));
-    let passed = bin < json;
-    out.row(
-        "bin_bytes < json_bytes".to_string(),
-        size(baseline, "bin_bytes"),
-        bin,
-        json,
-        passed,
-    );
-    if !passed {
-        out.failures.push(format!(
-            "binary encoding ({bin:.0} bytes) is not smaller than JSON ({json:.0} bytes)"
-        ));
-    }
-    Ok(out)
-}
-
-/// The gated minimum-time fields of the kernel and predict suites.
-const MIN_TIME_FIELDS: &[&str] = &[
-    "serial_min_ns",
-    "parallel_min_ns",
-    "fused_serial_min_ns",
-    "fused_parallel_min_ns",
-];
-
-/// Shared min-time-vs-scaled-threshold comparison behind the perf, predict
-/// and serve gates. `section` is the document key holding the timing map,
-/// `label` the entry noun used in failure messages; entries named in
-/// `dram_gated` use the `calibration_dram_ns` ratio as their host scale;
-/// `fields` lists the per-entry minimum-time fields to compare. Both
-/// documents are assumed schema-validated by the caller.
-fn gate_min_times(
-    baseline: &Json,
-    candidate: &Json,
-    tol: f64,
-    section: &str,
-    label: &str,
-    dram_gated: &[&str],
-    fields: &[&str],
-) -> Result<GateOutcome, String> {
-    let cal_ratio = |field: &str| {
-        let b = baseline
-            .get(field)
-            .and_then(Json::as_f64)
-            .expect("validated above");
-        let c = candidate
-            .get(field)
-            .and_then(Json::as_f64)
-            .expect("validated above");
-        c / b
-    };
-    let host_scale = cal_ratio("calibration_ns");
-    let dram_scale = cal_ratio("calibration_dram_ns");
-
-    let base_entries = baseline.get(section).and_then(Json::as_obj).unwrap();
-    let cand_entries = candidate.get(section).and_then(Json::as_obj).unwrap();
-    let mut out = GateOutcome::default();
-    for (name, base) in base_entries {
-        let Some(cand) = cand_entries.get(name) else {
-            out.row(
-                format!("{name} (missing)"),
-                f64::NAN,
-                f64::NAN,
-                f64::NAN,
-                false,
-            );
-            out.failures
-                .push(format!("{label} '{name}': missing from candidate run"));
-            continue;
-        };
-        let dram = dram_gated.contains(&name.as_str());
-        let scale = if dram { dram_scale } else { host_scale };
-        // Fields are gated only where the baseline records them: an older
-        // (pre-fused-schema) baseline still gates the shared min-time
-        // fields, and a candidate that dropped a field the baseline has is
-        // flagged as missing (NaN never passes `<=`).
-        for &field in fields {
-            let Some(b) = base.get(field).and_then(Json::as_f64) else {
-                continue;
-            };
-            let c = cand.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            let allowed = b * scale * (1.0 + tol);
-            let passed = c <= allowed;
-            out.row(format!("{name} {field}"), b, c, allowed, passed);
-            if !passed {
-                out.failures.push(format!(
-                    "{label} '{name}' {field}: {c:.0} ns > allowed {allowed:.0} ns \
-                     (baseline {b:.0} ns x {} {scale:.3} x {:.2})",
-                    if dram { "dram_scale" } else { "host_scale" },
-                    1.0 + tol
-                ));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Compares a fresh accuracy-smoke run against the committed baseline.
-///
-/// Every case in the baseline must exist in the candidate with an
-/// `error_pct` within the relative tolerance (plus [`ACCURACY_ABS_SLACK`])
-/// and an identical `support_size` — the fits are bitwise deterministic, so
-/// a support change is a real behavioral change that warrants regenerating
-/// the baseline deliberately.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation.
-pub fn gate_accuracy(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_accuracy_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_accuracy_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let base_cases = baseline.get("cases").and_then(Json::as_obj).unwrap();
-    let cand_cases = candidate.get("cases").and_then(Json::as_obj).unwrap();
-    let mut out = GateOutcome::default();
-    for (name, base) in base_cases {
-        let Some(cand) = cand_cases.get(name) else {
-            out.row(
-                format!("{name} (missing)"),
-                f64::NAN,
-                f64::NAN,
-                f64::NAN,
-                false,
-            );
-            out.failures
-                .push(format!("case '{name}': missing from candidate run"));
-            continue;
-        };
-        let b = base.get("error_pct").and_then(Json::as_f64).expect("valid");
-        let c = cand.get("error_pct").and_then(Json::as_f64).expect("valid");
-        let allowed = b * (1.0 + tol) + ACCURACY_ABS_SLACK;
-        out.row(format!("{name} error_pct"), b, c, allowed, c <= allowed);
-        if c > allowed {
-            out.failures.push(format!(
-                "case '{name}' error_pct: {c:.4} > allowed {allowed:.4} (baseline {b:.4})"
-            ));
-        }
-        let bs = base
-            .get("support_size")
-            .and_then(Json::as_u64)
-            .expect("valid");
-        let cs = cand
-            .get("support_size")
-            .and_then(Json::as_u64)
-            .expect("valid");
-        out.row(
-            format!("{name} support_size"),
-            bs as f64,
-            cs as f64,
-            bs as f64,
-            bs == cs,
-        );
-        if bs != cs {
-            out.failures.push(format!(
-                "case '{name}' support_size: {cs} != baseline {bs} \
-                 (fits are deterministic; regenerate BASELINE_accuracy.json if intended)"
-            ));
-        }
-    }
-    // Recovery counters: a fallback or jitter rescue that starts firing on
-    // the baseline problems is a silent numerical regression even when the
-    // resulting accuracy still clears the error tolerance.
-    let base_rec = baseline.get("recovery").and_then(Json::as_obj).unwrap();
-    let cand_rec = candidate.get("recovery").and_then(Json::as_obj).unwrap();
-    for name in crate::smoke::RECOVERY_COUNTERS {
-        let b = base_rec.get(name).and_then(Json::as_u64).expect("valid");
-        let c = cand_rec.get(name).and_then(Json::as_u64).expect("valid");
-        out.row(name.to_string(), b as f64, c as f64, b as f64, c <= b);
-        if c > b {
-            out.failures.push(format!(
-                "recovery '{name}': {c} > baseline {b} \
-                 (a degradation/rescue path fired silently on a baseline problem)"
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Compares a fresh backend-sweep run against the committed baseline, and
-/// enforces the paper's dominance claim on the candidate itself.
-///
-/// Two families of checks:
-///
-/// * **Drift** — every circuit/budget/backend cell of the baseline must
-///   exist in the candidate with an `error_pct` within the relative
-///   tolerance (plus [`ACCURACY_ABS_SLACK`]) and an identical
-///   `support_size`; the fits are bitwise deterministic, so a support
-///   change is a real behavioral change that warrants regenerating the
-///   baseline deliberately.
-/// * **Dominance** — within the candidate, at every circuit/budget the
-///   C-BMF error must be no worse than each baseline backend's error at
-///   the same simulation budget (again within tolerance + slack): the
-///   paper's central claim, checked head-to-head on every cell.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation.
-pub fn gate_backends(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_backends_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_backends_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let base_circuits = baseline.get("circuits").and_then(Json::as_obj).unwrap();
-    let cand_circuits = candidate.get("circuits").and_then(Json::as_obj).unwrap();
-    let mut out = GateOutcome::default();
-
-    let cell = |circuits: &std::collections::BTreeMap<String, Json>,
-                circuit: &str,
-                budget: &str,
-                backend: &str,
-                field: &str|
-     -> Option<f64> {
-        circuits
-            .get(circuit)?
-            .get("budgets")?
-            .get(budget)?
-            .get("backends")?
-            .get(backend)?
-            .get(field)?
-            .as_f64()
-    };
-
-    for (cname, base_circuit) in base_circuits {
-        let budgets = base_circuit.get("budgets").and_then(Json::as_obj).unwrap();
-        for (bname, base_budget) in budgets {
-            let backends = base_budget.get("backends").and_then(Json::as_obj).unwrap();
-            for (backend, base_cell) in backends {
-                let key = format!("{cname}/{bname}/{backend}");
-                let b = base_cell
-                    .get("error_pct")
-                    .and_then(Json::as_f64)
-                    .expect("valid");
-                let Some(c) = cell(cand_circuits, cname, bname, backend, "error_pct") else {
-                    out.row(format!("{key} (missing)"), b, f64::NAN, f64::NAN, false);
-                    out.failures
-                        .push(format!("cell '{key}': missing from candidate run"));
-                    continue;
-                };
-                let allowed = b * (1.0 + tol) + ACCURACY_ABS_SLACK;
-                out.row(format!("{key} error_pct"), b, c, allowed, c <= allowed);
-                if c > allowed {
-                    out.failures.push(format!(
-                        "cell '{key}' error_pct: {c:.4} > allowed {allowed:.4} (baseline {b:.4})"
-                    ));
-                }
-                let bs = base_cell
-                    .get("support_size")
-                    .and_then(Json::as_f64)
-                    .expect("valid");
-                let cs = cell(cand_circuits, cname, bname, backend, "support_size")
-                    .expect("validated candidate cell");
-                out.row(format!("{key} support_size"), bs, cs, bs, bs == cs);
-                if bs != cs {
-                    out.failures.push(format!(
-                        "cell '{key}' support_size: {cs} != baseline {bs} \
-                         (fits are deterministic; regenerate BENCH_backends.json if intended)"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Dominance: the candidate's own numbers must support the paper's
-    // claim at every circuit/budget.
-    for (cname, cand_circuit) in cand_circuits {
-        let budgets = cand_circuit.get("budgets").and_then(Json::as_obj).unwrap();
-        for (bname, cand_budget) in budgets {
-            let backends = cand_budget.get("backends").and_then(Json::as_obj).unwrap();
-            let Some(cbmf) = cell(cand_circuits, cname, bname, "cbmf", "error_pct") else {
-                continue; // validated documents always carry the cbmf cell
-            };
-            for backend in backends.keys() {
-                if backend == "cbmf" {
-                    continue;
-                }
-                let other = cell(cand_circuits, cname, bname, backend, "error_pct")
-                    .expect("validated candidate cell");
-                let allowed = other * (1.0 + tol) + ACCURACY_ABS_SLACK;
-                let key = format!("{cname}/{bname} cbmf≤{backend}");
-                out.row(key.clone(), other, cbmf, allowed, cbmf <= allowed);
-                if cbmf > allowed {
-                    out.failures.push(format!(
-                        "dominance '{key}': cbmf error {cbmf:.4} > allowed {allowed:.4} \
-                         (vs {backend} at {other:.4}) — C-BMF lost at equal simulation budget"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Compares a fresh streaming-vs-batch run against the committed baseline,
-/// and enforces the streaming engine's economic and correctness claims on
-/// the candidate itself.
-///
-/// Three families of checks:
-///
-/// * **Drift** — every circuit of the baseline must exist in the candidate
-///   with batch and stream `error_pct` within the relative tolerance (plus
-///   [`ACCURACY_ABS_SLACK`]) and *identical* `support_size` and
-///   `total_samples`: the fits and the chunk schedule are bitwise
-///   deterministic, so a sims-to-target change is a real behavioral change
-///   that warrants regenerating the baseline deliberately.
-/// * **Savings floor** — within the candidate, at least
-///   [`MIN_SAVED_CIRCUITS`] circuits must reach the batch-accuracy target
-///   while saving at least [`MIN_SAVED_PCT`] percent of the batch budget:
-///   the streaming engine's reason to exist, checked on every run.
-/// * **Bitwise parity** — every candidate circuit's `full_stream_bitwise`
-///   flag must be true: a full-budget one-chunk streaming fit reproduced
-///   the batch fit exactly, so the incremental machinery cannot silently
-///   change what the paper's algorithm computes.
-///
-/// # Errors
-///
-/// Returns a reason string when either document fails schema validation.
-pub fn gate_stream(baseline: &Json, candidate: &Json, tol: f64) -> Result<GateOutcome, String> {
-    validate_stream_report(baseline).map_err(|e| format!("baseline: {e}"))?;
-    validate_stream_report(candidate).map_err(|e| format!("candidate: {e}"))?;
-    let base_circuits = baseline.get("circuits").and_then(Json::as_obj).unwrap();
-    let cand_circuits = candidate.get("circuits").and_then(Json::as_obj).unwrap();
-    let mut out = GateOutcome::default();
-
-    for (cname, base) in base_circuits {
-        let Some(cand) = cand_circuits.get(cname) else {
-            out.row(
-                format!("{cname} (missing)"),
-                f64::NAN,
-                f64::NAN,
-                f64::NAN,
-                false,
-            );
-            out.failures
-                .push(format!("circuit '{cname}': missing from candidate run"));
-            continue;
-        };
-        for section in ["batch", "stream"] {
-            let field_of = |doc: &Json, field: &str| {
-                doc.get(section)
-                    .and_then(|s| s.get(field))
-                    .and_then(Json::as_f64)
-                    .expect("validated above")
-            };
-            let (b, c) = (field_of(base, "error_pct"), field_of(cand, "error_pct"));
-            let allowed = b * (1.0 + tol) + ACCURACY_ABS_SLACK;
-            let key = format!("{cname}/{section}");
-            out.row(format!("{key} error_pct"), b, c, allowed, c <= allowed);
-            if c > allowed {
-                out.failures.push(format!(
-                    "circuit '{key}' error_pct: {c:.4} > allowed {allowed:.4} (baseline {b:.4})"
-                ));
-            }
-            for field in ["support_size", "total_samples"] {
-                let (b, c) = (field_of(base, field), field_of(cand, field));
-                out.row(format!("{key} {field}"), b, c, b, b == c);
-                if b != c {
-                    out.failures.push(format!(
-                        "circuit '{key}' {field}: {c} != baseline {b} (fits and chunk \
-                         schedules are deterministic; regenerate BENCH_stream.json if intended)"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Candidate self-checks: the savings floor and bitwise parity must hold
-    // on the fresh run's own numbers.
-    let bool_of = |doc: &Json, path: &[&str]| -> bool {
-        let mut v = doc;
-        for key in path {
-            match v.get(key) {
-                Some(next) => v = next,
-                None => return false,
-            }
-        }
-        matches!(v, Json::Bool(true))
-    };
-    let mut saved_enough = 0usize;
-    for (cname, cand) in cand_circuits {
-        let reached = bool_of(cand, &["stream", "reached_target"]);
-        let saved = cand
-            .get("stream")
-            .and_then(|s| s.get("saved_pct"))
-            .and_then(Json::as_f64)
-            .expect("validated above");
-        if reached && saved >= MIN_SAVED_PCT {
-            saved_enough += 1;
-        }
-        let bitwise = bool_of(cand, &["full_stream_bitwise"]);
-        out.row(
-            format!("{cname} full_stream_bitwise"),
-            1.0,
-            if bitwise { 1.0 } else { 0.0 },
-            1.0,
-            bitwise,
-        );
-        if !bitwise {
-            out.failures.push(format!(
-                "circuit '{cname}': full-budget one-chunk streaming fit is not bitwise \
-                 identical to the batch fit"
-            ));
-        }
-    }
-    let floor = MIN_SAVED_CIRCUITS as f64;
-    let passed = saved_enough >= MIN_SAVED_CIRCUITS;
-    out.row(
-        format!("circuits saving ≥{MIN_SAVED_PCT}% at batch accuracy (floor)"),
-        floor,
-        saved_enough as f64,
-        floor,
-        passed,
-    );
-    if !passed {
-        out.failures.push(format!(
-            "only {saved_enough} circuit(s) reached batch accuracy with ≥{MIN_SAVED_PCT}% \
-             fewer simulations (need {MIN_SAVED_CIRCUITS}) — streaming stopped paying"
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bench_doc(serial: f64, parallel: f64, cal: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-kernels/3", "reps": 3, "calibration_ns": {cal},
-                "calibration_dram_ns": {cal}, "host": {{"threads": 1}},
-                "kernels": {{"matmul_800": {{"serial_median_ns": {serial},
-                                            "parallel_median_ns": {parallel},
-                                            "serial_min_ns": {serial},
-                                            "parallel_min_ns": {parallel}}}}}}}"#
-        ))
-        .unwrap()
+    fn cal(cache_ns: u128, dram_ns: u128) -> Option<Calibration> {
+        Some(crate::kernels::cal(cache_ns, dram_ns))
     }
 
-    fn predict_doc(serial: f64, parallel: f64, cal: f64) -> Json {
-        predict_doc_dram(serial, parallel, cal, cal, "batch_0064")
+    /// A report of `(id, value, rule)` rows; `limits` gives the bound of
+    /// each floor or dominates row by id.
+    fn doc(
+        bench: &str,
+        calibration: Option<Calibration>,
+        rows: &[(&str, f64, Rule)],
+        limits: &[(&str, f64)],
+    ) -> Report {
+        let mut r = Report::new(bench, calibration);
+        for &(id, value, rule) in rows {
+            let unit = if rule == Rule::MinTime { "ns" } else { "u" };
+            let row = r.push(id, value, unit, rule);
+            if let Some(&(_, l)) = limits.iter().find(|(lid, _)| *lid == id) {
+                row.limit(l);
+            }
+        }
+        r
     }
 
-    fn predict_doc_dram(serial: f64, parallel: f64, cal: f64, dram_cal: f64, batch: &str) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-predict/2", "reps": 3, "calibration_ns": {cal},
-                "calibration_dram_ns": {dram_cal}, "host": {{"threads": 1}},
-                "batches": {{"{batch}": {{"serial_median_ns": {serial},
-                                            "parallel_median_ns": {parallel},
-                                            "serial_min_ns": {serial},
-                                            "parallel_min_ns": {parallel}}}}}}}"#
-        ))
-        .unwrap()
+    /// Ids of the rows the candidate fails.
+    fn failing(b: &Report, c: &Report) -> Vec<String> {
+        let out = gate(b, c, DEFAULT_TOL).unwrap();
+        assert_eq!(
+            out.failures.len(),
+            out.rows.iter().filter(|r| !r.passed).count()
+        );
+        let ids = out.rows.iter().filter(|r| !r.passed);
+        ids.map(|r| r.check.clone()).collect()
     }
 
-    fn predict_doc_fused(serial: f64, fused: f64, cal: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-predict/3", "reps": 3, "calibration_ns": {cal},
-                "calibration_dram_ns": {cal}, "host": {{"threads": 1}},
-                "batches": {{"batch_0064": {{"serial_median_ns": {serial},
-                                            "parallel_median_ns": {serial},
-                                            "serial_min_ns": {serial},
-                                            "parallel_min_ns": {serial},
-                                            "fused_serial_median_ns": {fused},
-                                            "fused_parallel_median_ns": {fused},
-                                            "fused_serial_min_ns": {fused},
-                                            "fused_parallel_min_ns": {fused}}}}}}}"#
-        ))
-        .unwrap()
+    fn kernels(serial: f64, parallel: f64, cal_ns: u128) -> Report {
+        let rows = [
+            ("matmul.serial_min_ns", serial, Rule::MinTime),
+            ("matmul.parallel_min_ns", parallel, Rule::MinTime),
+            ("matmul.serial_median_ns", serial, Rule::Info),
+        ];
+        doc("kernels", cal(cal_ns, cal_ns), &rows, &[])
     }
 
-    fn serve_doc(co: f64, un: f64, cal: f64) -> Json {
-        serve_doc_at("clients_0064", co, un, cal)
-    }
-
-    fn serve_doc_at(key: &str, co: f64, un: f64, cal: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-serve/1", "reps": 3, "calibration_ns": {cal},
-                "calibration_dram_ns": {cal}, "host": {{"threads": 1}},
-                "batch_fill": [0, 5],
-                "serve": {{"deadline_us": 100, "max_batch": 64, "queue_depth": 1024}},
-                "clients": {{"{key}": {{
-                    "mean_coalesced_median_ns": {co}, "mean_coalesced_min_ns": {co},
-                    "mean_coalesced_rps": 1000,
-                    "mean_uncoalesced_median_ns": {un}, "mean_uncoalesced_min_ns": {un},
-                    "mean_uncoalesced_rps": 900,
-                    "var_coalesced_median_ns": {co}, "var_coalesced_min_ns": {co},
-                    "var_coalesced_rps": 100,
-                    "var_uncoalesced_median_ns": {un}, "var_uncoalesced_min_ns": {un},
-                    "var_uncoalesced_rps": 90,
-                    "var_coalescing_gain": 1.5}}}},
-                "workload": {{}}}}"#
-        ))
-        .unwrap()
-    }
-
-    fn artifact_doc(json_load: f64, bin_load: f64, cal: f64) -> Json {
-        artifact_doc_sized(json_load, bin_load, cal, 35000000.0, 7500000.0)
-    }
-
-    fn artifact_doc_sized(
-        json_load: f64,
-        bin_load: f64,
-        cal: f64,
-        json_bytes: f64,
-        bin_bytes: f64,
-    ) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-artifact/1", "reps": 3, "calibration_ns": {cal},
-                "calibration_dram_ns": {cal}, "host": {{"threads": 1}},
-                "binary": {{"load_median_ns": {bin_load}, "load_min_ns": {bin_load},
-                           "save_median_ns": {bin_load}, "save_min_ns": {bin_load}}},
-                "json": {{"load_median_ns": {json_load}, "load_min_ns": {json_load},
-                         "save_median_ns": {json_load}, "save_min_ns": {json_load}}},
-                "load_speedup": 1.0,
-                "sizes": {{"bin_bytes": {bin_bytes}, "json_bytes": {json_bytes},
-                          "json_over_bin": 4.7}},
-                "workload": {{}}}}"#
-        ))
-        .unwrap()
-    }
-
-    fn accuracy_doc(err: f64, support: u64) -> Json {
-        accuracy_doc_with_recovery(err, support, 0, 0)
-    }
-
-    fn accuracy_doc_with_recovery(err: f64, support: u64, jitter: u64, fixed_r: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-accuracy-smoke/2",
-                "host": {{"threads": 1}},
-                "cases": {{"synthetic_linear": {{"error_pct": {err},
-                                                "support_size": {support}}}}},
-                "recovery": {{"recovery.jitter_retries": {jitter},
-                             "recovery.fallback_fixed_r": {fixed_r},
-                             "recovery.fallback_somp": 0}}}}"#
-        ))
-        .unwrap()
+    fn predict(serial: f64, cal_ns: u128, dram_ns: u128, dram_row: bool) -> Report {
+        let mut r = Report::new("predict", cal(cal_ns, dram_ns));
+        r.push("batch.serial_min_ns", serial, "ns", Rule::MinTime)
+            .dram = dram_row;
+        r
     }
 
     #[test]
     fn kernel_gate_passes_identical_runs() {
-        let base = bench_doc(1000.0, 900.0, 100.0);
-        let out = gate_kernels(&base, &base, DEFAULT_TOL).unwrap();
+        let base = kernels(1000.0, 900.0, 100);
+        let out = gate(&base, &base, DEFAULT_TOL).unwrap();
         assert!(out.passed());
-        assert_eq!(out.checked, 2);
+        assert_eq!(out.rows.len(), 2, "info rows are never gated");
     }
 
     #[test]
     fn kernel_gate_fails_beyond_tolerance() {
-        let base = bench_doc(1000.0, 900.0, 100.0);
-        // 25% serial slowdown on an identical host: over the 20% gate.
-        let cand = bench_doc(1250.0, 900.0, 100.0);
-        let out = gate_kernels(&base, &cand, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("serial_min_ns"));
-        // ...but within tolerance passes.
-        let cand = bench_doc(1190.0, 1050.0, 100.0);
-        assert!(gate_kernels(&base, &cand, DEFAULT_TOL).unwrap().passed());
+        let base = kernels(1000.0, 900.0, 100);
+        let slow = kernels(1250.0, 900.0, 100);
+        assert_eq!(failing(&base, &slow), ["matmul.serial_min_ns"]);
+        assert!(failing(&base, &kernels(1190.0, 1050.0, 100)).is_empty());
     }
 
     #[test]
     fn kernel_gate_scales_thresholds_by_calibration() {
-        let base = bench_doc(1000.0, 900.0, 100.0);
-        // Candidate host is 2x slower: calibration 200, kernels 2x slower —
-        // no regression after scaling.
-        let cand = bench_doc(2000.0, 1800.0, 200.0);
-        assert!(gate_kernels(&base, &cand, DEFAULT_TOL).unwrap().passed());
-        // Same slow host but a genuine 2x algorithmic slowdown on top.
-        let cand = bench_doc(4000.0, 3600.0, 200.0);
-        let out = gate_kernels(&base, &cand, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 2);
+        let base = kernels(1000.0, 900.0, 100);
+        assert!(failing(&base, &kernels(2000.0, 1800.0, 200)).is_empty());
+        assert_eq!(failing(&base, &kernels(4000.0, 3600.0, 200)).len(), 2);
     }
 
     #[test]
     fn kernel_gate_flags_missing_kernels_and_bad_docs() {
-        let base = bench_doc(1000.0, 900.0, 100.0);
-        let mut cand = bench_doc(1000.0, 900.0, 100.0);
-        if let Json::Obj(map) = &mut cand {
-            let other = r#"{"other": {"serial_median_ns": 1, "parallel_median_ns": 1,
-                                      "serial_min_ns": 1, "parallel_min_ns": 1}}"#;
-            map.insert("kernels".to_string(), Json::parse(other).unwrap());
-        }
-        let out = gate_kernels(&base, &cand, DEFAULT_TOL).unwrap();
-        assert!(out.failures[0].contains("missing from candidate"));
-        assert!(gate_kernels(&Json::Null, &base, DEFAULT_TOL).is_err());
-        assert!(gate_kernels(&base, &Json::Null, DEFAULT_TOL).is_err());
+        let base = kernels(1000.0, 900.0, 100);
+        let mut cand = base.clone();
+        cand.rows.retain(|r| r.id != "matmul.parallel_min_ns");
+        let out = gate(&base, &cand, DEFAULT_TOL).unwrap();
+        assert_eq!(
+            out.failures,
+            ["matmul.parallel_min_ns: missing from candidate run"]
+        );
+        // Another bench, or min_time rows without calibration, cannot be
+        // gated at all.
+        assert!(gate(&base, &predict(1.0, 1, 1, false), DEFAULT_TOL).is_err());
+        cand.calibration = None;
+        assert!(gate(&base, &cand, DEFAULT_TOL).is_err());
+        assert!(Report::parse("null").is_err());
     }
 
     #[test]
     fn predict_gate_mirrors_kernel_gate_semantics() {
-        let base = predict_doc(240.0, 220.0, 100.0);
-        let out = gate_predict(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 2);
-
-        // 30% serial slowdown on an identical host: over the 20% gate.
-        let slow = predict_doc(312.0, 220.0, 100.0);
-        let out = gate_predict(&base, &slow, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("batch 'batch_0064' serial_min_ns"));
-
-        // A 2x-slower host with proportional timings passes after scaling.
-        let slow_host = predict_doc(480.0, 440.0, 200.0);
-        assert!(gate_predict(&base, &slow_host, DEFAULT_TOL)
-            .unwrap()
-            .passed());
-
-        // Schema cross-contamination is rejected up front.
-        let kernels = bench_doc(1000.0, 900.0, 100.0);
-        assert!(gate_predict(&base, &kernels, DEFAULT_TOL).is_err());
-        assert!(gate_predict(&kernels, &base, DEFAULT_TOL).is_err());
+        let base = predict(240.0, 100, 100, false);
+        assert!(failing(&base, &base).is_empty());
+        assert_eq!(failing(&base, &predict(312.0, 100, 100, false)).len(), 1);
+        assert!(failing(&base, &predict(480.0, 200, 200, false)).is_empty());
     }
 
     #[test]
     fn predict_gate_covers_fused_fields_when_the_baseline_has_them() {
-        // A fused baseline gates four min-time fields per batch.
-        let base = predict_doc_fused(240.0, 150.0, 100.0);
-        let out = gate_predict(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 4);
-        // A fused-path regression fails even when the materialized path is
-        // unchanged.
-        let slow_fused = predict_doc_fused(240.0, 200.0, 100.0);
-        let out = gate_predict(&base, &slow_fused, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures[0].contains("fused_serial_min_ns"));
-        // An old (v2) baseline gates only the shared fields against a new
-        // candidate — the schema bump cannot brick the gate.
-        let old_base = predict_doc(240.0, 220.0, 100.0);
-        let cand = predict_doc_fused(240.0, 150.0, 100.0);
-        let out = gate_predict(&old_base, &cand, DEFAULT_TOL).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.checked, 2);
+        // Rows only the candidate carries are not gated; every row the
+        // baseline carries is.
+        let base = predict(150.0, 100, 100, false);
+        let mut cand = base.clone();
+        cand.push("batch.extra_min_ns", 1e9, "ns", Rule::MinTime);
+        assert!(failing(&base, &cand).is_empty());
+        assert_eq!(failing(&cand, &base), ["batch.extra_min_ns"]);
     }
 
     #[test]
     fn predict_gate_uses_dram_ratio_for_the_large_batch() {
-        // Candidate host: same core speed (cache calibration unchanged) but
-        // half the memory bandwidth (DRAM probe 2x slower). The 4096-row
-        // batch slows down 1.8x — over the cache-scaled gate, within the
-        // DRAM-scaled one.
-        let base = predict_doc_dram(1000.0, 900.0, 100.0, 500.0, "batch_4096");
-        let cand = predict_doc_dram(1800.0, 1620.0, 100.0, 1000.0, "batch_4096");
-        let out = gate_predict(&base, &cand, DEFAULT_TOL).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        // The small batch stays on the cache ratio: the same 1.8x slowdown
-        // with an unchanged cache calibration fails even when DRAM slowed.
-        let base = predict_doc_dram(1000.0, 900.0, 100.0, 500.0, "batch_0064");
-        let cand = predict_doc_dram(1800.0, 1620.0, 100.0, 1000.0, "batch_0064");
-        let out = gate_predict(&base, &cand, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures[0].contains("host_scale"));
-        // A genuine regression on the large batch still fails under the
-        // bandwidth ratio.
-        let base = predict_doc_dram(1000.0, 900.0, 100.0, 500.0, "batch_4096");
-        let cand = predict_doc_dram(2600.0, 2340.0, 100.0, 1000.0, "batch_4096");
-        let out = gate_predict(&base, &cand, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures[0].contains("dram_scale"));
+        // Same core speed, half the memory bandwidth: a 1.8x slowdown passes
+        // on a DRAM-probed row only, and a 2.6x one fails there too.
+        let dram = predict(1000.0, 100, 500, true);
+        assert!(failing(&dram, &predict(1800.0, 100, 1000, true)).is_empty());
+        let cache = predict(1000.0, 100, 500, false);
+        assert_eq!(failing(&cache, &predict(1800.0, 100, 1000, false)).len(), 1);
+        let out = gate(&dram, &predict(2600.0, 100, 1000, true), DEFAULT_TOL).unwrap();
+        assert!(out.failures[0].contains("dram probe"), "{:?}", out.failures);
     }
 
     #[test]
     fn gates_record_structured_rows_for_the_summary_table() {
-        let base = predict_doc(240.0, 220.0, 100.0);
-        let slow = predict_doc(312.0, 220.0, 100.0);
-        let out = gate_predict(&base, &slow, DEFAULT_TOL).unwrap();
-        assert_eq!(out.rows.len(), out.checked);
-        let failing: Vec<_> = out.rows.iter().filter(|r| !r.passed).collect();
-        assert_eq!(failing.len(), 1);
-        assert_eq!(failing[0].check, "batch_0064 serial_min_ns");
-        assert_eq!(failing[0].baseline, 240.0);
-        assert_eq!(failing[0].candidate, 312.0);
-        assert!((failing[0].allowed - 288.0).abs() < 1e-9);
-
-        let acc = accuracy_doc(2.5, 8);
-        let acc_out = gate_accuracy(&acc, &acc, DEFAULT_TOL).unwrap();
-        assert_eq!(acc_out.rows.len(), acc_out.checked);
-        assert!(acc_out.rows.iter().any(|r| r.check.contains("error_pct")));
-        assert!(acc_out.rows.iter().any(|r| r.check.contains("recovery.")));
+        let base = predict(240.0, 100, 100, false);
+        let out = gate(&base, &predict(312.0, 100, 100, false), DEFAULT_TOL).unwrap();
+        let r = &out.rows[0];
+        assert_eq!(
+            (r.check.as_str(), r.baseline, r.candidate),
+            ("batch.serial_min_ns", 240.0, 312.0)
+        );
+        assert!(!r.passed && (r.allowed - 288.0).abs() < 1e-9);
     }
 
     #[test]
     fn step_summary_renders_every_row_and_failure() {
-        let base = predict_doc(240.0, 220.0, 100.0);
-        let slow = predict_doc(312.0, 220.0, 100.0);
-        let predict = gate_predict(&base, &slow, DEFAULT_TOL).unwrap();
-        let acc = accuracy_doc(2.5, 8);
-        let accuracy = gate_accuracy(&acc, &acc, DEFAULT_TOL).unwrap();
-
-        let md = render_step_summary(&[("predict", &predict), ("accuracy", &accuracy)]);
+        let base = predict(240.0, 100, 100, false);
+        let slow = gate(&base, &predict(312.0, 100, 100, false), DEFAULT_TOL).unwrap();
+        let md = render_step_summary(&[("predict", &slow)]);
         assert!(md.contains("| gate | check | baseline | candidate | allowed | verdict |"));
-        assert!(md.contains("| predict | batch_0064 serial_min_ns | 240 | 312 | 288 | ❌ |"));
-        assert!(md.contains("| accuracy | synthetic_linear error_pct |"));
-        assert!(md.contains("1 of"));
-        assert!(md.contains("comparisons failed"));
-        assert!(md.contains("- predict: batch 'batch_0064' serial_min_ns"));
+        assert!(md.contains("| predict | batch.serial_min_ns | 240 | 312 | 288 | ❌ |"));
+        assert!(md.contains("1 of 1 comparisons failed"));
+        assert!(md.contains("- predict: batch.serial_min_ns"));
+        let pass = gate(&base, &base, DEFAULT_TOL).unwrap();
+        let md = render_step_summary(&[("predict", &pass)]);
+        assert!(md.contains("All 1 comparisons passed.") && !md.contains("❌"));
+    }
 
-        let all_pass =
-            render_step_summary(&[("predict", &gate_predict(&base, &base, DEFAULT_TOL).unwrap())]);
-        assert!(all_pass.contains("All 2 comparisons passed."));
-        assert!(!all_pass.contains("❌"));
+    fn serve(gain: f64, co: f64, cal_ns: u128) -> Report {
+        let rows = [
+            ("c64.var_coalesced_min_ns", co, Rule::MinTime),
+            ("c64.var_coalescing_gain", gain, Rule::Floor),
+        ];
+        doc(
+            "serve",
+            cal(cal_ns, cal_ns),
+            &rows,
+            &[("c64.var_coalescing_gain", 1.3)],
+        )
     }
 
     #[test]
     fn serve_gate_passes_identical_runs_and_counts_the_gain_row() {
-        // Gain 1600/1000 = 1.6 clears the 1.3/(1+tol) floor.
-        let base = serve_doc(1000.0, 1600.0, 100.0);
-        let out = gate_serve(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        // Four min-time rows plus the coalescing-gain floor.
-        assert_eq!(out.checked, 5);
-        assert!(out
-            .rows
-            .iter()
-            .any(|r| r.check == "clients_0064 var_coalescing_gain (floor)"));
+        let base = serve(1.6, 1000.0, 100);
+        let out = gate(&base, &base, DEFAULT_TOL).unwrap();
+        assert!(out.passed() && out.rows.len() == 2);
     }
 
     #[test]
     fn serve_gate_fails_on_min_time_regression_and_scales_by_calibration() {
-        let base = serve_doc(1000.0, 1600.0, 100.0);
-        // 25% slower coalesced paths on an identical host: over the gate.
-        let slow = serve_doc(1250.0, 1600.0, 100.0);
-        let out = gate_serve(&base, &slow, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures[0].contains("mean_coalesced_min_ns"));
-        assert!(out.failures[1].contains("var_coalesced_min_ns"));
-        // A 2x-slower host with proportional timings passes after scaling
-        // (the gain is a same-host ratio and needs no scaling).
-        let slow_host = serve_doc(2000.0, 3200.0, 200.0);
-        assert!(gate_serve(&base, &slow_host, DEFAULT_TOL).unwrap().passed());
-        // Schema cross-contamination is rejected up front.
-        let kernels = bench_doc(1000.0, 900.0, 100.0);
-        assert!(gate_serve(&base, &kernels, DEFAULT_TOL).is_err());
-        assert!(gate_serve(&kernels, &base, DEFAULT_TOL).is_err());
+        let base = serve(1.6, 1000.0, 100);
+        let slow = serve(1.6, 1250.0, 100);
+        assert_eq!(failing(&base, &slow), ["c64.var_coalesced_min_ns"]);
+        assert!(failing(&base, &serve(1.6, 2000.0, 200)).is_empty());
     }
 
     #[test]
     fn serve_gate_enforces_the_coalescing_gain_floor() {
-        let base = serve_doc(1000.0, 1600.0, 100.0);
-        // Candidate is *faster* everywhere (no min-time failures) but its
-        // uncoalesced path got nearly as fast as the coalesced one: gain
-        // 1050/1000 = 1.05 < 1.3/1.2 ≈ 1.083 — batching stopped paying.
-        let flat = serve_doc(1000.0, 1050.0, 100.0);
-        let out = gate_serve(&base, &flat, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("coalescing gain"));
-        let row = out.rows.iter().find(|r| !r.passed).unwrap();
-        assert!((row.candidate - 1.05).abs() < 1e-9);
-        assert!((row.allowed - MIN_COALESCING_GAIN / 1.2).abs() < 1e-9);
-        // Right at the slack boundary passes: 1.09 ≥ 1.083.
-        let edge = serve_doc(1000.0, 1090.0, 100.0);
-        assert!(gate_serve(&base, &edge, DEFAULT_TOL).unwrap().passed());
+        // The floor is limit / (1 + tol) = 1.3 / 1.2 ≈ 1.083.
+        let base = serve(1.6, 1000.0, 100);
+        let out = gate(&base, &serve(1.05, 1000.0, 100), DEFAULT_TOL).unwrap();
+        assert!(!out.rows[1].passed && (out.rows[1].allowed - 1.3 / 1.2).abs() < 1e-12);
+        assert!(failing(&base, &serve(1.09, 1000.0, 100)).is_empty());
     }
 
     #[test]
     fn serve_gate_flags_a_missing_64_client_entry() {
-        let base = serve_doc(1000.0, 1600.0, 100.0);
-        let cand = serve_doc_at("clients_0008", 1000.0, 1600.0, 100.0);
-        let out = gate_serve(&base, &cand, DEFAULT_TOL).unwrap();
-        assert!(!out.passed());
-        // The min-time comparison flags the missing entry, and the gain
-        // floor reports it cannot be checked.
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("missing from candidate run")));
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("coalescing-gain floor")));
+        let base = serve(1.6, 1000.0, 100);
+        let mut cand = base.clone();
+        cand.rows.clear();
+        let out = gate(&base, &cand, DEFAULT_TOL).unwrap();
+        assert_eq!(out.failures.len(), 2);
+        assert!(out.failures.iter().all(|f| f.contains("missing")));
+    }
+
+    fn artifact(bin_load: f64, speedup: f64, bytes_saved: f64, cal_ns: u128) -> Report {
+        let rows = [
+            ("binary.load_min_ns", bin_load, Rule::MinTime),
+            ("load_speedup", speedup, Rule::Floor),
+            ("sizes.bytes_saved", bytes_saved, Rule::Floor),
+        ];
+        let limits = [("load_speedup", 5.0), ("sizes.bytes_saved", 1.0)];
+        doc("artifact", cal(cal_ns, cal_ns), &rows, &limits)
     }
 
     #[test]
     fn artifact_gate_passes_identical_runs_and_counts_every_row() {
-        // 10x speedup clears the 5.0/(1+tol) floor comfortably.
-        let base = artifact_doc(100000.0, 10000.0, 100.0);
-        let out = gate_artifact(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        // Four min-time rows + the speedup floor + the size sanity check.
-        assert_eq!(out.checked, 6);
-        assert!(out.rows.iter().any(|r| r.check == "load_speedup (floor)"));
+        let base = artifact(10000.0, 10.0, 1000.0, 100);
+        let out = gate(&base, &base, DEFAULT_TOL).unwrap();
+        assert!(out.passed() && out.rows.len() == 3);
     }
 
     #[test]
     fn artifact_gate_fails_on_load_regression_and_scales_by_calibration() {
-        let base = artifact_doc(100000.0, 10000.0, 100.0);
-        // 30% slower binary load on an identical host: over the 20% gate.
-        let slow = artifact_doc(100000.0, 13000.0, 100.0);
-        let out = gate_artifact(&base, &slow, DEFAULT_TOL).unwrap();
-        // Both binary min-time rows regressed (the doc ties save to load).
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures[0].contains("'binary' load_min_ns"));
-        // A 2x-slower host with proportional timings passes after scaling
-        // (the speedup is a same-host ratio and needs no scaling).
-        let slow_host = artifact_doc(200000.0, 20000.0, 200.0);
-        assert!(gate_artifact(&base, &slow_host, DEFAULT_TOL)
-            .unwrap()
-            .passed());
-        // Schema cross-contamination is rejected up front.
-        let kernels = bench_doc(1000.0, 900.0, 100.0);
-        assert!(gate_artifact(&base, &kernels, DEFAULT_TOL).is_err());
-        assert!(gate_artifact(&kernels, &base, DEFAULT_TOL).is_err());
+        let base = artifact(10000.0, 10.0, 1000.0, 100);
+        let slow = artifact(13000.0, 10.0, 1000.0, 100);
+        assert_eq!(failing(&base, &slow), ["binary.load_min_ns"]);
+        assert!(failing(&base, &artifact(20000.0, 10.0, 1000.0, 200)).is_empty());
     }
 
     #[test]
     fn artifact_gate_enforces_the_speedup_floor_and_size_sanity() {
-        let base = artifact_doc(100000.0, 10000.0, 100.0);
-        // Candidate is faster everywhere (no min-time failures) but JSON
-        // got nearly as fast as binary: 3x < 5.0/1.2 ≈ 4.17 — the binary
-        // format stopped paying for itself.
-        let flat = artifact_doc(24000.0, 8000.0, 100.0);
-        let out = gate_artifact(&base, &flat, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("load speedup"));
-        let row = out.rows.iter().find(|r| !r.passed).unwrap();
-        assert!((row.candidate - 3.0).abs() < 1e-9);
-        assert!((row.allowed - MIN_BINARY_SPEEDUP / 1.2).abs() < 1e-9);
-        // The slack boundary is 5.0/1.2 ≈ 4.167: 4.175 passes, 4.083 fails.
-        let edge = artifact_doc(50100.0, 12000.0, 100.0);
-        assert!(gate_artifact(&base, &edge, DEFAULT_TOL).unwrap().passed());
-        let edge = artifact_doc(49000.0, 12000.0, 100.0);
-        let out = gate_artifact(&base, &edge, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("load speedup"));
-        // A binary encoding bigger than the JSON one fails the size check
-        // even with the timings intact.
-        let bloated = artifact_doc_sized(100000.0, 10000.0, 100.0, 35000000.0, 36000000.0);
-        let out = gate_artifact(&base, &bloated, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("not smaller"));
+        let base = artifact(10000.0, 10.0, 1000.0, 100);
+        // 5.0 / 1.2 ≈ 4.167: 4.175 passes, 4.083 fails.
+        assert!(failing(&base, &artifact(10000.0, 4.175, 1000.0, 100)).is_empty());
+        let flat = artifact(10000.0, 4.083, 1000.0, 100);
+        assert_eq!(failing(&base, &flat), ["load_speedup"]);
+        // A binary encoding no smaller than the JSON one saves no bytes,
+        // under the 1-byte floor at any tolerance.
+        let bloated = artifact(10000.0, 10.0, 0.0, 100);
+        assert_eq!(failing(&base, &bloated), ["sizes.bytes_saved"]);
+        assert!(failing(&base, &artifact(10000.0, 10.0, 1.0, 100)).is_empty());
+    }
+
+    fn accuracy(err: f64, support: f64, jitter: f64) -> Report {
+        let rows = [
+            ("synthetic.error_pct", err, Rule::Drift),
+            ("synthetic.support_size", support, Rule::Exact),
+            ("recovery.jitter_retries", jitter, Rule::Ceiling),
+        ];
+        doc("accuracy", None, &rows, &[])
     }
 
     #[test]
     fn accuracy_gate_passes_identical_and_improved_runs() {
-        let base = accuracy_doc(2.5, 8);
-        assert!(gate_accuracy(&base, &base, DEFAULT_TOL).unwrap().passed());
-        let better = accuracy_doc(1.9, 8);
-        assert!(gate_accuracy(&base, &better, DEFAULT_TOL).unwrap().passed());
+        let base = accuracy(2.5, 8.0, 0.0);
+        assert!(failing(&base, &base).is_empty());
+        assert!(failing(&base, &accuracy(1.0, 8.0, 0.0)).is_empty());
     }
 
     #[test]
     fn accuracy_gate_fails_on_degradation_or_support_change() {
-        let base = accuracy_doc(2.5, 8);
-        let worse = accuracy_doc(3.2, 8); // 28% worse: over the 20% gate
-        let out = gate_accuracy(&base, &worse, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("error_pct"));
-        let drifted = accuracy_doc(2.5, 9);
-        let out = gate_accuracy(&base, &drifted, DEFAULT_TOL).unwrap();
-        assert!(out.failures[0].contains("support_size"));
+        let base = accuracy(2.5, 8.0, 0.0);
+        assert_eq!(
+            failing(&base, &accuracy(3.5, 8.0, 0.0)),
+            ["synthetic.error_pct"]
+        );
+        assert_eq!(
+            failing(&base, &accuracy(2.5, 9.0, 0.0)),
+            ["synthetic.support_size"]
+        );
+        assert_eq!(
+            failing(&base, &accuracy(2.5, 7.0, 0.0)),
+            ["synthetic.support_size"]
+        );
     }
 
     #[test]
     fn accuracy_gate_fails_when_recovery_counters_grow() {
-        let base = accuracy_doc(2.5, 8);
-        // Identical accuracy, but a fallback fired during the candidate run.
-        let silent_fallback = accuracy_doc_with_recovery(2.5, 8, 0, 1);
-        let out = gate_accuracy(&base, &silent_fallback, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("recovery.fallback_fixed_r"));
-        // A jitter rescue is flagged the same way.
-        let rescued = accuracy_doc_with_recovery(2.5, 8, 3, 0);
-        let out = gate_accuracy(&base, &rescued, DEFAULT_TOL).unwrap();
-        assert!(out.failures[0].contains("recovery.jitter_retries"));
-        // A baseline that already records recoveries tolerates the same count.
-        let noisy_base = accuracy_doc_with_recovery(2.5, 8, 3, 0);
-        assert!(gate_accuracy(&noisy_base, &rescued, DEFAULT_TOL)
-            .unwrap()
-            .passed());
+        let base = accuracy(2.5, 8.0, 0.0);
+        assert_eq!(
+            failing(&base, &accuracy(2.5, 8.0, 1.0)),
+            ["recovery.jitter_retries"]
+        );
+        // Fewer firings than the baseline is an improvement.
+        assert!(failing(&accuracy(2.5, 8.0, 2.0), &base).is_empty());
     }
 
     #[test]
     fn accuracy_gate_absolute_slack_covers_near_zero_baselines() {
-        let base = accuracy_doc(0.0, 3);
-        let tiny = accuracy_doc(0.005, 3); // within the absolute slack
-        assert!(gate_accuracy(&base, &tiny, DEFAULT_TOL).unwrap().passed());
-        let real = accuracy_doc(0.05, 3);
-        assert!(!gate_accuracy(&base, &real, DEFAULT_TOL).unwrap().passed());
+        let base = accuracy(0.0, 8.0, 0.0);
+        assert!(failing(&base, &accuracy(0.009, 8.0, 0.0)).is_empty());
+        assert_eq!(failing(&base, &accuracy(0.011, 8.0, 0.0)).len(), 1);
     }
 
-    /// A one-circuit, one-budget backends document with the given error per
-    /// backend (cbmf, somp, omp, elastic_net).
-    fn backends_doc(cbmf: f64, somp: f64, omp: f64, en: f64, cbmf_support: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-backends/1", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {{"threads": 1}},
-                "circuits": {{"lna": {{"metric": "vg_db", "budgets": {{
-                  "budget_006": {{"samples_per_state": 6, "total_samples": 36,
-                    "sim_hours": 0.0874, "backends": {{
-                      "cbmf": {{"error_pct": {cbmf}, "support_size": {cbmf_support}}},
-                      "somp": {{"error_pct": {somp}, "support_size": 5}},
-                      "omp": {{"error_pct": {omp}, "support_size": 6}},
-                      "elastic_net": {{"error_pct": {en}, "support_size": 7}}}}}}}}}}}}}}"#
-        ))
-        .unwrap()
+    fn backends(cbmf: f64, somp: f64, support: f64) -> Report {
+        let rows = [
+            ("lna.cbmf.error_pct", cbmf, Rule::Drift),
+            ("lna.cbmf.support_size", support, Rule::Exact),
+            ("lna.somp.error_pct", somp, Rule::Drift),
+            ("lna.cbmf_vs_somp", cbmf, Rule::Dominates),
+        ];
+        doc("backends", cal(1, 1), &rows, &[("lna.cbmf_vs_somp", somp)])
     }
 
     #[test]
     fn backends_gate_passes_identical_dominant_runs() {
-        let base = backends_doc(1.0, 2.0, 2.5, 3.0, 4);
-        let out = gate_backends(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        // 4 backends × (error + support) drift rows + 3 dominance rows.
-        assert_eq!(out.checked, 11);
+        let base = backends(1.0, 1.5, 4.0);
+        let out = gate(&base, &base, DEFAULT_TOL).unwrap();
+        assert!(out.passed() && out.rows.len() == 4);
     }
 
     #[test]
     fn backends_gate_fails_on_error_drift_or_support_change() {
-        let base = backends_doc(1.0, 2.0, 2.5, 3.0, 4);
-        // cbmf error up 35%: over the 20% gate.
-        let worse = backends_doc(1.35, 2.0, 2.5, 3.0, 4);
-        let out = gate_backends(&base, &worse, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("error_pct"));
-        // A support change on a deterministic fit is always flagged.
-        let drifted = backends_doc(1.0, 2.0, 2.5, 3.0, 9);
-        let out = gate_backends(&base, &drifted, DEFAULT_TOL).unwrap();
-        assert!(out.failures[0].contains("support_size"));
+        let base = backends(1.0, 1.5, 4.0);
+        assert_eq!(
+            failing(&base, &backends(1.0, 1.9, 4.0)),
+            ["lna.somp.error_pct"]
+        );
+        assert_eq!(
+            failing(&base, &backends(1.0, 1.5, 5.0)),
+            ["lna.cbmf.support_size"]
+        );
     }
 
     #[test]
     fn backends_gate_fails_when_cbmf_loses_dominance() {
-        let base = backends_doc(1.0, 2.0, 2.5, 3.0, 4);
-        // Baselines all improved past cbmf in the candidate: even with every
-        // drift row inside tolerance, dominance must fail.
-        let upset = backends_doc(1.0, 0.5, 0.6, 0.7, 4);
-        let out = gate_backends(&base, &upset, DEFAULT_TOL).unwrap();
-        assert_eq!(out.failures.len(), 3, "{:?}", out.failures);
-        assert!(out.failures[0].contains("dominance"));
-        assert!(out.failures[0].contains("equal simulation budget"));
+        // Dominance is judged within the candidate: C-BMF at 1.3 against
+        // S-OMP at 1.0 exceeds 1.0 · 1.2 + 0.01 even with no drift.
+        let base = backends(1.3, 1.0, 4.0);
+        assert_eq!(failing(&base, &base), ["lna.cbmf_vs_somp"]);
+        assert!(failing(&base, &backends(1.2, 1.0, 4.0)).is_empty());
     }
 
-    /// A four-circuit stream document; `saved` is applied to the first
-    /// `n_saving` circuits (the rest stream the full budget and miss the
-    /// target), and `bitwise` sets every circuit's parity flag.
-    fn stream_doc(stream_samples: u64, saved: f64, n_saving: usize, bitwise: bool) -> Json {
-        let mut circuits = String::new();
-        for (i, name) in ["lna", "mixer", "vco", "yield"].iter().enumerate() {
-            let saving = i < n_saving;
-            let (samples, pct, reached) = if saving {
-                (stream_samples, saved, true)
-            } else {
-                (84, 0.0, false)
-            };
-            circuits.push_str(&format!(
-                r#"{}"{name}": {{"metric": "m", "full_stream_bitwise": {bitwise},
-                   "batch": {{"error_pct": 1.0, "support_size": 8,
-                             "total_samples": 84, "sim_hours": 0.2}},
-                   "stream": {{"error_pct": 1.04, "support_size": 8,
-                              "total_samples": {samples}, "sim_hours": 0.1,
-                              "chunks": 4, "reached_target": {reached},
-                              "saved_pct": {pct}}}}}"#,
-                if i == 0 { "" } else { ", " }
-            ));
+    #[test]
+    fn backends_gate_rejects_malformed_documents() {
+        let good = backends(1.0, 1.5, 4.0).render();
+        assert!(Report::parse(&good).is_ok());
+        for (from, to) in [
+            ("\"rule\":\"dominates\"", "\"rule\":\"beats\""),
+            ("\"limit\":1.5,", ""),
+            ("cbmf-bench/1", "cbmf-bench-backends/1"),
+            ("\"bench\": \"backends\"", "\"bench\": \"\""),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "pattern {from} not found");
+            assert!(Report::parse(&bad).is_err(), "accepted {to}");
         }
-        Json::parse(&format!(
-            r#"{{"schema": "cbmf-bench-stream/1", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {{"threads": 1}},
-                "first_per_state": 6, "chunk_per_state": 2, "full_per_state": 14,
-                "target_rel_slack": 0.05, "target_abs_slack": 0.01,
-                "circuits": {{{circuits}}}}}"#
-        ))
-        .unwrap()
+    }
+
+    fn stream(total: f64, saving: f64, bitwise: f64) -> Report {
+        let rows = [
+            ("lna.stream.error_pct", 1.3, Rule::Drift),
+            ("lna.stream.total_samples", total, Rule::Exact),
+            ("lna.full_stream_bitwise", bitwise, Rule::Bitwise),
+            ("circuits_saving", saving, Rule::Floor),
+        ];
+        doc("stream", cal(1, 1), &rows, &[("circuits_saving", 3.0)])
     }
 
     #[test]
     fn stream_gate_passes_identical_saving_runs() {
-        let base = stream_doc(48, 42.9, 3, true);
-        let out = gate_stream(&base, &base, DEFAULT_TOL).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        // 4 circuits × 2 sections × 3 drift rows + 4 bitwise rows + floor.
-        assert_eq!(out.checked, 29);
+        let base = stream(48.0, 4.0, 1.0);
+        let out = gate(&base, &base, DEFAULT_TOL).unwrap();
+        assert!(out.passed() && out.rows.len() == 4);
     }
 
     #[test]
     fn stream_gate_fails_on_drift_or_schedule_change() {
-        let base = stream_doc(48, 42.9, 3, true);
-        // A different sims-to-target count is a deterministic-behavior
-        // change even when accuracy is unchanged.
-        let drifted = stream_doc(60, 28.6, 3, true);
-        let out = gate_stream(&base, &drifted, DEFAULT_TOL).unwrap();
-        assert!(!out.passed());
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("total_samples") && f.contains("deterministic")));
+        let base = stream(48.0, 4.0, 1.0);
+        assert_eq!(
+            failing(&base, &stream(84.0, 4.0, 1.0)),
+            ["lna.stream.total_samples"]
+        );
     }
 
     #[test]
     fn stream_gate_enforces_the_savings_floor() {
-        let base = stream_doc(48, 42.9, 3, true);
-        // Only two circuits clear the floor: the engine stopped paying.
-        let stalled = stream_doc(48, 42.9, 2, true);
-        let out = gate_stream(&base, &stalled, DEFAULT_TOL).unwrap();
-        assert!(!out.passed());
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("streaming stopped paying")));
-        // Saving on enough circuits but below the percentage floor fails
-        // the same way.
-        let shallow = stream_doc(74, 11.9, 3, true);
-        let out = gate_stream(&base, &shallow, DEFAULT_TOL).unwrap();
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("streaming stopped paying")));
+        let base = stream(48.0, 4.0, 1.0);
+        assert!(failing(&base, &stream(48.0, 3.0, 1.0)).is_empty());
+        assert_eq!(failing(&base, &stream(48.0, 2.0, 1.0)), ["circuits_saving"]);
     }
 
     #[test]
     fn stream_gate_requires_bitwise_parity_everywhere() {
-        let base = stream_doc(48, 42.9, 3, true);
-        let broken = stream_doc(48, 42.9, 3, false);
-        let out = gate_stream(&base, &broken, DEFAULT_TOL).unwrap();
-        // Every circuit's parity row fails.
+        let base = stream(48.0, 4.0, 1.0);
         assert_eq!(
-            out.failures
-                .iter()
-                .filter(|f| f.contains("not bitwise"))
-                .count(),
-            4,
-            "{:?}",
-            out.failures
+            failing(&base, &stream(48.0, 4.0, 0.0)),
+            ["lna.full_stream_bitwise"]
         );
     }
 
     #[test]
     fn stream_gate_rejects_malformed_documents() {
-        let base = stream_doc(48, 42.9, 3, true);
-        assert!(gate_stream(&Json::Null, &base, DEFAULT_TOL).is_err());
-        assert!(gate_stream(&base, &Json::Null, DEFAULT_TOL).is_err());
-        let accuracy = accuracy_doc(2.5, 8);
-        assert!(gate_stream(&base, &accuracy, DEFAULT_TOL).is_err());
+        let good = stream(48.0, 4.0, 1.0);
+        let text = good.render();
+        assert_eq!(Report::parse(&text).unwrap(), good, "render round-trips");
+        let dup = text.replacen("lna.stream.error_pct", "lna.stream.total_samples", 1);
+        assert!(Report::parse(&dup).unwrap_err().contains("duplicate"));
+        let uncalibrated = text.replacen("{\"cache_ns\":1,\"dram_ns\":1}", "null", 1);
+        assert!(Report::parse(&uncalibrated).is_ok(), "no min_time rows");
+        let probe = "\"probe\":\"dram\",\"rule\":\"exact\"";
+        let bad_probe = text.replacen("\"rule\":\"exact\"", probe, 1);
+        assert!(Report::parse(&bad_probe).unwrap_err().contains("probe"));
     }
 
+    /// The gate's self-test on every committed baseline: a baseline gated
+    /// against itself passes, and perturbing one row of each rule kind it
+    /// carries fails exactly that row. Together the baselines carry every
+    /// gated rule.
     #[test]
-    fn backends_gate_rejects_malformed_documents() {
-        let base = backends_doc(1.0, 2.0, 2.5, 3.0, 4);
-        assert!(gate_backends(&Json::Null, &base, DEFAULT_TOL).is_err());
-        assert!(gate_backends(&base, &Json::Null, DEFAULT_TOL).is_err());
-        // Schema cross-contamination is rejected up front.
-        let accuracy = accuracy_doc(2.5, 8);
-        assert!(gate_backends(&base, &accuracy, DEFAULT_TOL).is_err());
+    fn every_committed_baseline_catches_a_perturbed_row_of_each_rule() {
+        let mut covered = HashSet::new();
+        for bench in BENCHES {
+            let base = Report::load(&baseline_path(bench)).unwrap();
+            assert_eq!(base.bench, bench);
+            assert!(failing(&base, &base).is_empty(), "{bench} fails itself");
+            for (i, row) in base.rows.iter().enumerate() {
+                if row.rule == Rule::Info || !covered.insert((bench, row.rule)) {
+                    continue;
+                }
+                let mut cand = base.clone();
+                let r = &mut cand.rows[i];
+                r.value = match r.rule {
+                    Rule::MinTime | Rule::Drift => r.value * 1.5 + 1.0,
+                    Rule::Exact | Rule::Ceiling => r.value + 1.0,
+                    Rule::Floor => r.limit.unwrap() / 1.5,
+                    Rule::Bitwise => 0.0,
+                    Rule::Dominates => r.limit.unwrap() * 1.5 + 1.0,
+                    Rule::Info => unreachable!("skipped above"),
+                };
+                assert_eq!(failing(&base, &cand), [row.id.as_str()], "{bench}");
+            }
+        }
+        let rules: HashSet<Rule> = covered.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(rules.len(), Rule::ALL.len() - 1, "{rules:?}");
     }
 }

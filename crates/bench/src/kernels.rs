@@ -3,25 +3,24 @@
 //!
 //! One definition of the paper-scale kernels (M = 1300, K = 8, n = 100 →
 //! NK = 800, plus the d = 1280 blocked-kernel rows) serves both consumers:
-//! the `bench_kernels` binary times them at full repetition count and writes
-//! the committed baseline, and the `ci-gate` binary re-times them quickly
-//! and compares against that baseline. Keeping the workload definitions here
+//! `ci_gate --write-baseline kernels` times them at full repetition count
+//! and writes the committed baseline, and `ci_gate` re-times them quickly
+//! and gates against that baseline. Keeping the workload definitions here
 //! guarantees the two always measure the same thing.
 //!
-//! # Report schema
+//! # Report
 //!
-//! [`BENCH_SCHEMA`] documents are byte-stable: objects serialize with
-//! sorted keys ([`cbmf_trace::Json`] is `BTreeMap`-backed), so regenerating
-//! the baseline on the same host diffs cleanly. Cross-host comparison goes
-//! through **two** calibration probes: `calibration_ns` — the minimum time
-//! of a fixed cache-resident naive matmul — scales thresholds for kernels
-//! bounded by core speed, and `calibration_dram_ns` — a large strided
-//! triad — scales the rows that are memory-bandwidth bound (a fast core
-//! attached to slow DRAM would otherwise flap the gate on those rows).
-//! Both probes are hand-rolled over plain `Vec<f64>` and deliberately never
-//! touch `cbmf-linalg`, so a kernel regression cannot mask itself by
-//! inflating the calibration in step (pinned by the
-//! `calibration_independence` test).
+//! [`report`] renders a run in the shared [`crate::gate::Report`] envelope:
+//! per kernel, the serial and parallel minimum times are `min_time` rows
+//! and everything else (medians, the naive before/after, thread counts) is
+//! `info`. Cross-host comparison goes through **two** calibration probes:
+//! [`calibration_ns`] — the minimum time of a fixed cache-resident naive
+//! matmul — scales thresholds for rows bounded by core speed, and
+//! [`calibration_dram_ns`] — a large strided triad — scales the rows that
+//! are memory-bandwidth bound. Both probes are hand-rolled over plain
+//! `Vec<f64>` and deliberately never touch `cbmf-linalg`, so a kernel
+//! regression cannot mask itself by inflating the calibration in step
+//! (pinned by the `calibration_independence` test).
 
 use std::time::Instant;
 
@@ -29,17 +28,7 @@ use cbmf_linalg::block::{with_config, BlockConfig};
 use cbmf_linalg::{Cholesky, Matrix};
 use cbmf_trace::Json;
 
-/// Schema identifier of `BENCH_kernels.json`; bump on breaking layout
-/// changes. Version 4 records the resolved thread count per kernel row and
-/// replaces the meaningless `speedup` with a `"single_core": true` marker
-/// on one-thread hosts. The validator (and hence the gate) still accepts
-/// the prior version so a freshly-bumped tree can gate against a committed
-/// older baseline.
-pub const BENCH_SCHEMA: &str = "cbmf-bench-kernels/4";
-
-/// Previous schema version the validator also accepts (gate compatibility
-/// across the bump; min-time fields are unchanged between the two).
-pub const BENCH_SCHEMA_PREV: &str = "cbmf-bench-kernels/3";
+use crate::gate::Report;
 
 /// Repetitions used for the committed baseline.
 pub const BASELINE_REPS: usize = 9;
@@ -66,15 +55,12 @@ pub const KERNEL_NAMES: [&str; 7] = [
 pub struct KernelResult {
     /// Kernel name, one of [`KERNEL_NAMES`].
     pub name: &'static str,
-    /// Median nanoseconds per repetition under `with_threads(1)`.
-    pub serial_ns: u128,
-    /// Median nanoseconds per repetition at the machine's thread width.
-    pub parallel_ns: u128,
-    /// Minimum nanoseconds per serial repetition. Scheduling noise only ever
-    /// *adds* time, so the minimum is the stable statistic the gate compares.
-    pub serial_min_ns: u128,
-    /// Minimum nanoseconds per parallel repetition.
-    pub parallel_min_ns: u128,
+    /// `(median, min)` nanoseconds per repetition under `with_threads(1)`.
+    /// Scheduling noise only ever *adds* time, so the minimum is the stable
+    /// statistic the gate compares.
+    pub serial: (u128, u128),
+    /// `(median, min)` nanoseconds per repetition at the thread width.
+    pub parallel: (u128, u128),
     /// Minimum serial nanoseconds with blocking forced off (the pre-blocking
     /// streaming kernels) — recorded in the committed baseline for the
     /// paper-scale rows as the before/after evidence, skipped by the CI
@@ -90,7 +76,7 @@ pub struct KernelResult {
 /// The two host-speed probes a bench document carries: [`Calibration::cache_ns`]
 /// normalizes compute-bound rows across hosts, [`Calibration::dram_ns`]
 /// normalizes bandwidth-bound rows.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Minimum nanoseconds of the cache-resident naive-matmul probe
     /// ([`calibration_ns`]).
@@ -119,24 +105,23 @@ impl Calibration {
     }
 }
 
+/// Fixed probe values for unit tests.
+#[cfg(test)]
+pub(crate) fn cal(cache_ns: u128, dram_ns: u128) -> Calibration {
+    Calibration { cache_ns, dram_ns }
+}
+
 /// The shared host descriptor of a bench document: the trace layer's
 /// `{threads, os, arch}` plus the microkernel ISA tier the blocked kernels
 /// resolved to (`cbmf-trace` cannot record that itself — it sits below
 /// `cbmf-linalg` in the crate graph — so the bench layer inserts it).
 pub fn host_with_isa() -> Json {
-    let mut host = match cbmf_trace::report::host_meta() {
-        Json::Obj(m) => m,
-        other => {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert("meta".to_string(), other);
-            m
-        }
-    };
-    host.insert(
-        "simd_isa".to_string(),
-        Json::Str(cbmf_linalg::simd_isa_name().to_string()),
-    );
-    Json::Obj(host)
+    let mut host = cbmf_trace::report::host_meta();
+    if let Json::Obj(m) = &mut host {
+        let isa = cbmf_linalg::simd_isa_name().to_string();
+        m.insert("simd_isa".to_string(), Json::Str(isa));
+    }
+    host
 }
 
 /// (median, minimum) wall-clock nanoseconds of `reps` runs of `f` (after
@@ -152,11 +137,6 @@ pub fn time_stats(reps: usize, mut f: impl FnMut()) -> (u128, u128) {
         .collect();
     times.sort_unstable();
     (times[times.len() / 2], times[0])
-}
-
-/// Median wall-clock nanoseconds of `reps` runs of `f` (after one warm-up).
-pub fn median_ns(reps: usize, f: impl FnMut()) -> u128 {
-    time_stats(reps, f).0
 }
 
 /// Times a fixed hand-rolled workload (a naive 384×384 triple-loop matmul)
@@ -227,23 +207,16 @@ pub fn calibration_dram_ns() -> u128 {
 /// rows are additionally timed with blocking forced off (min of up to 3
 /// serial reps) to record the before/after in the committed baseline — the
 /// CI gate's quick re-runs skip this, since the gate only reads the routed
-/// timings. `report` is called once per finished kernel (the binaries use
-/// it to stream progress lines).
-pub fn run_suite(
-    reps: usize,
-    threads: usize,
-    naive_compare: bool,
-    mut report: impl FnMut(&KernelResult),
-) -> Vec<KernelResult> {
+/// timings.
+pub fn run_suite(reps: usize, threads: usize, naive_compare: bool) -> Vec<KernelResult> {
     let naive_cfg = BlockConfig {
         min_macs: usize::MAX,
         min_solve_dim: usize::MAX,
         ..BlockConfig::default()
     };
-    let mut time_kernel = |name: &'static str, naive: bool, f: &dyn Fn()| {
-        let (serial_ns, serial_min_ns) = time_stats(reps, || cbmf_parallel::with_threads(1, f));
-        let (parallel_ns, parallel_min_ns) =
-            time_stats(reps, || cbmf_parallel::with_threads(threads, f));
+    let time_kernel = |name: &'static str, naive: bool, f: &dyn Fn()| {
+        let serial = time_stats(reps, || cbmf_parallel::with_threads(1, f));
+        let parallel = time_stats(reps, || cbmf_parallel::with_threads(threads, f));
         // The naive reference is timed serially: the routing decision is
         // made on this thread (before any fan-out), so the thread-scoped
         // `with_config` override is seen by the whole kernel.
@@ -253,17 +226,13 @@ pub fn run_suite(
             })
             .1
         });
-        let r = KernelResult {
+        KernelResult {
             name,
-            serial_ns,
-            parallel_ns,
-            serial_min_ns,
-            parallel_min_ns,
+            serial,
+            parallel,
             naive_serial_min_ns,
             threads,
-        };
-        report(&r);
-        r
+        }
     };
     let mut results = Vec::with_capacity(KERNEL_NAMES.len());
 
@@ -317,204 +286,67 @@ pub fn run_suite(
     results
 }
 
-/// Merges a re-run into accumulated results by element-wise minimum
-/// (matched by kernel name). Noise only ever adds time, so the merged
-/// minima converge to the machine's true kernel cost over repeated runs —
-/// the CI gate uses this to retry a failing perf comparison instead of
-/// flapping on a single noisy run.
-pub fn merge_min(into: &mut [KernelResult], rerun: &[KernelResult]) {
-    for r in into.iter_mut() {
-        if let Some(n) = rerun.iter().find(|n| n.name == r.name) {
-            r.serial_ns = r.serial_ns.min(n.serial_ns);
-            r.parallel_ns = r.parallel_ns.min(n.parallel_ns);
-            r.serial_min_ns = r.serial_min_ns.min(n.serial_min_ns);
-            r.parallel_min_ns = r.parallel_min_ns.min(n.parallel_min_ns);
-            r.naive_serial_min_ns = match (r.naive_serial_min_ns, n.naive_serial_min_ns) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            };
+/// Renders suite results as a `kernels` report.
+pub fn report(results: &[KernelResult], reps: usize, calibration: Calibration) -> Report {
+    let mut out = Report::new("kernels", Some(calibration));
+    out.info("reps", reps as f64, "count");
+    for r in results {
+        let k = r.name;
+        out.timing(&format!("{k}.serial"), r.serial);
+        out.timing(&format!("{k}.parallel"), r.parallel);
+        if let Some(naive) = r.naive_serial_min_ns {
+            out.info(format!("{k}.naive_serial_min_ns"), naive as f64, "ns");
+        }
+        out.info(format!("{k}.threads"), r.threads as f64, "count");
+        if r.threads > 1 {
+            // On a one-thread host "parallel" re-measures the serial path,
+            // so a ratio would be noise; it is recorded on wider hosts only.
+            let speedup = r.serial.0 as f64 / r.parallel.0.max(1) as f64;
+            out.info(
+                format!("{k}.speedup"),
+                (speedup * 1000.0).round() / 1000.0,
+                "x",
+            );
         }
     }
-}
-
-/// Renders suite results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_kernels.json`.
-pub fn render_bench_report(
-    results: &[KernelResult],
-    reps: usize,
-    threads: usize,
-    calibration: Calibration,
-) -> Json {
-    let kernels: std::collections::BTreeMap<String, Json> = results
-        .iter()
-        .map(|r| {
-            let mut fields = vec![
-                (
-                    "serial_median_ns".to_string(),
-                    Json::Num(r.serial_ns as f64),
-                ),
-                (
-                    "parallel_median_ns".to_string(),
-                    Json::Num(r.parallel_ns as f64),
-                ),
-                (
-                    "serial_min_ns".to_string(),
-                    Json::Num(r.serial_min_ns as f64),
-                ),
-                (
-                    "parallel_min_ns".to_string(),
-                    Json::Num(r.parallel_min_ns as f64),
-                ),
-                ("threads".to_string(), Json::Num(r.threads as f64)),
-            ];
-            if r.threads <= 1 {
-                // On a one-thread host the "parallel" timing re-measures the
-                // serial path — a speedup ratio would be ~1.0 noise. Mark
-                // the condition instead of reporting a meaningless number.
-                fields.push(("single_core".to_string(), Json::Bool(true)));
-            } else {
-                let speedup = r.serial_ns as f64 / r.parallel_ns.max(1) as f64;
-                fields.push((
-                    "speedup".to_string(),
-                    Json::Num((speedup * 1000.0).round() / 1000.0),
-                ));
-            }
-            if let Some(naive) = r.naive_serial_min_ns {
-                let blocked = naive as f64 / r.serial_min_ns.max(1) as f64;
-                fields.push(("naive_serial_min_ns".to_string(), Json::Num(naive as f64)));
-                fields.push((
-                    "blocked_speedup".to_string(),
-                    Json::Num((blocked * 1000.0).round() / 1000.0),
-                ));
-            }
-            (r.name.to_string(), Json::obj(fields))
-        })
-        .collect();
-    let mut fields = vec![
-        ("schema".to_string(), Json::Str(BENCH_SCHEMA.to_string())),
-        ("reps".to_string(), Json::Num(reps as f64)),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), host_with_isa()),
-        ("kernels".to_string(), Json::Obj(kernels)),
-    ];
-    if threads <= 1 {
-        fields.push((
-            "note".to_string(),
-            Json::Str(
-                "single-core host: serial and parallel paths are the same code path, \
-                 so speedups are ~1.0 by construction; re-run on a multi-core machine \
-                 to measure scaling"
-                    .to_string(),
-            ),
-        ));
-    }
-    Json::obj(fields)
-}
-
-/// Validates the fixed skeleton of a bench report: schema string, positive
-/// calibrations, host object, and a non-empty kernel map whose entries carry
-/// both medians. Returns a human-readable reason on failure.
-pub fn validate_bench_report(doc: &Json) -> Result<(), String> {
-    let schema = match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == BENCH_SCHEMA || s == BENCH_SCHEMA_PREV => s,
-        Some(s) => {
-            return Err(format!(
-            "schema '{s}' is not '{BENCH_SCHEMA}' (or the still-accepted '{BENCH_SCHEMA_PREV}')"
-        ))
-        }
-        None => return Err("missing 'schema' field".to_string()),
-    };
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    let kernels = doc
-        .get("kernels")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'kernels' object")?;
-    if kernels.is_empty() {
-        return Err("empty 'kernels' object".to_string());
-    }
-    for (name, k) in kernels {
-        for field in [
-            "serial_median_ns",
-            "parallel_median_ns",
-            "serial_min_ns",
-            "parallel_min_ns",
-        ] {
-            match k.get(field).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 => {}
-                _ => return Err(format!("kernel '{name}': bad '{field}'")),
-            }
-        }
-        // Optional before/after record (baseline documents only).
-        if let Some(v) = k.get("naive_serial_min_ns") {
-            match v.as_f64() {
-                Some(n) if n > 0.0 => {}
-                _ => return Err(format!("kernel '{name}': bad 'naive_serial_min_ns'")),
-            }
-        }
-        if schema == BENCH_SCHEMA {
-            // v4 rows carry the resolved thread count, and exactly one of
-            // the speedup / single-core marker.
-            match k.get("threads").and_then(Json::as_f64) {
-                Some(t) if t >= 1.0 => {}
-                _ => return Err(format!("kernel '{name}': bad 'threads'")),
-            }
-            let single = k.get("single_core").is_some();
-            let speedup = k.get("speedup").is_some();
-            if single == speedup {
-                return Err(format!(
-                    "kernel '{name}': expected exactly one of 'speedup' or 'single_core'"
-                ));
-            }
-        }
-    }
-    Ok(())
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{baseline_path, Rule};
 
-    fn cal(cache_ns: u128, dram_ns: u128) -> Calibration {
-        Calibration { cache_ns, dram_ns }
+    fn result(
+        name: &'static str,
+        serial: u128,
+        naive: Option<u128>,
+        threads: usize,
+    ) -> KernelResult {
+        KernelResult {
+            name,
+            serial: (serial + 50, serial),
+            parallel: (serial / 2, serial / 2 - 10),
+            naive_serial_min_ns: naive,
+            threads,
+        }
     }
 
-    /// The committed baseline must stay parseable, schema-valid, cover the
-    /// exact kernel set this suite runs, and be byte-stable: re-rendering
-    /// the parsed document must reproduce the file exactly (sorted keys,
-    /// fixed layout). A failure here means `BENCH_kernels.json` needs
-    /// regenerating via `cargo run --release -p cbmf-bench --bin
-    /// bench_kernels`.
+    /// The committed baseline must parse, cover the exact kernel set this
+    /// suite runs, and be in canonical form. A failure here means
+    /// `BENCH_kernels.json` needs regenerating via `ci_gate --write-baseline kernels`.
     #[test]
     fn committed_baseline_is_schema_stable() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_kernels.json");
-        let doc = Json::parse(&text).expect("parse BENCH_kernels.json");
-        validate_bench_report(&doc).expect("valid bench report");
-        let kernels = doc.get("kernels").and_then(Json::as_obj).unwrap();
-        let names: Vec<&str> = kernels.keys().map(String::as_str).collect();
-        let mut expected = KERNEL_NAMES.to_vec();
-        expected.sort_unstable();
-        assert_eq!(names, expected, "kernel set drifted from the suite");
-        assert_eq!(
-            text,
-            format!("{}\n", doc.to_pretty()),
-            "BENCH_kernels.json is not in canonical sorted-key form"
-        );
+        let path = baseline_path("kernels");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = Report::parse(&text).unwrap();
+        for k in KERNEL_NAMES {
+            for t in ["serial", "parallel"] {
+                let row = doc.row(&format!("{k}.{t}_min_ns")).expect("kernel row");
+                assert_eq!(row.rule, Rule::MinTime);
+            }
+        }
+        assert_eq!(text, doc.render(), "BENCH_kernels.json is not canonical");
     }
 
     /// The acceptance evidence for the blocked kernels lives in the
@@ -522,17 +354,10 @@ mod tests {
     /// before/after and show at least the required 1.5× min-time win.
     #[test]
     fn committed_baseline_paper_rows_beat_naive() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_kernels.json");
-        let doc = Json::parse(&text).expect("parse");
-        let kernels = doc.get("kernels").and_then(Json::as_obj).unwrap();
+        let doc = Report::load(&baseline_path("kernels")).unwrap();
         for name in ["gram_1280", "matmul_t_1280"] {
-            let k = &kernels[name];
-            let naive = k
-                .get("naive_serial_min_ns")
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("{name}: missing naive_serial_min_ns"));
-            let blocked = k.get("serial_min_ns").and_then(Json::as_f64).unwrap();
+            let naive = doc.value(&format!("{name}.naive_serial_min_ns")).unwrap();
+            let blocked = doc.value(&format!("{name}.serial_min_ns")).unwrap();
             assert!(
                 naive >= 1.5 * blocked,
                 "{name}: blocked {blocked} ns is not ≥1.5x faster than naive {naive} ns"
@@ -542,209 +367,60 @@ mod tests {
 
     #[test]
     fn rendered_report_validates_and_round_trips() {
-        let results = vec![
-            KernelResult {
-                name: "gram_1300x100",
-                serial_ns: 1000,
-                parallel_ns: 400,
-                serial_min_ns: 950,
-                parallel_min_ns: 380,
-                naive_serial_min_ns: None,
-                threads: 4,
-            },
-            KernelResult {
-                name: "matmul_t_1280",
-                serial_ns: 2000,
-                parallel_ns: 900,
-                serial_min_ns: 1900,
-                parallel_min_ns: 880,
-                naive_serial_min_ns: Some(9500),
-                threads: 4,
-            },
+        let results = [
+            result("gram_1300x100", 1000, None, 4),
+            result("matmul_t_1280", 2000, Some(9500), 4),
         ];
-        let doc = render_bench_report(&results, 9, 4, cal(12345, 67890));
-        validate_bench_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.to_pretty()).unwrap();
-        assert_eq!(parsed, doc);
+        let doc = report(&results, 9, cal(12345, 67890));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(doc.value("gram_1300x100.speedup"), Some(2.1));
+        assert_eq!(doc.value("matmul_t_1280.naive_serial_min_ns"), Some(9500.0));
+        assert!(doc.row("gram_1300x100.naive_serial_min_ns").is_none());
         assert_eq!(
-            parsed
-                .get("kernels")
-                .unwrap()
-                .get("gram_1300x100")
-                .unwrap()
-                .get("speedup")
-                .unwrap()
-                .as_f64(),
-            Some(2.5)
+            doc.row("gram_1300x100.serial_median_ns").unwrap().rule,
+            Rule::Info
         );
-        // The naive before/after renders only where it was measured.
-        let big = parsed.get("kernels").unwrap().get("matmul_t_1280").unwrap();
-        assert_eq!(
-            big.get("naive_serial_min_ns").unwrap().as_f64(),
-            Some(9500.0)
-        );
-        assert_eq!(big.get("blocked_speedup").unwrap().as_f64(), Some(5.0));
-        assert!(parsed
-            .get("kernels")
-            .unwrap()
-            .get("gram_1300x100")
-            .unwrap()
-            .get("naive_serial_min_ns")
-            .is_none());
-        assert_eq!(
-            parsed.get("calibration_dram_ns").unwrap().as_f64(),
-            Some(67890.0)
-        );
-        // v4: rows carry the resolved thread count and the ISA lands in the
-        // host section.
-        assert_eq!(big.get("threads").unwrap().as_f64(), Some(4.0));
-        assert!(big.get("single_core").is_none());
-        assert!(parsed
-            .get("host")
-            .unwrap()
-            .get("simd_isa")
-            .and_then(Json::as_str)
-            .is_some());
-        // Multi-thread render carries no single-core note.
-        assert!(parsed.get("note").is_none());
-        assert!(render_bench_report(&results, 9, 1, cal(12345, 67890))
-            .get("note")
-            .is_some());
+        assert_eq!(doc.calibration.unwrap().dram_ns, 67890);
+        assert!(doc.host.get("simd_isa").and_then(Json::as_str).is_some());
     }
 
     #[test]
     fn single_core_rows_mark_instead_of_reporting_speedup() {
-        let results = vec![KernelResult {
-            name: "matmul_800",
-            serial_ns: 1000,
-            parallel_ns: 1000,
-            serial_min_ns: 950,
-            parallel_min_ns: 960,
-            naive_serial_min_ns: None,
-            threads: 1,
-        }];
-        let doc = render_bench_report(&results, 5, 1, cal(100, 200));
-        validate_bench_report(&doc).unwrap();
-        let row = doc.get("kernels").unwrap().get("matmul_800").unwrap();
-        assert_eq!(row.get("single_core"), Some(&Json::Bool(true)));
-        assert!(row.get("speedup").is_none());
-        assert_eq!(row.get("threads").unwrap().as_f64(), Some(1.0));
-    }
-
-    #[test]
-    fn validator_accepts_the_previous_schema_version() {
-        // A committed v3 baseline (no per-row threads, unconditional
-        // speedup) must still validate so the gate can compare across the
-        // schema bump.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/3", "calibration_ns": 10,
-                "calibration_dram_ns": 20, "host": {},
-                "kernels": {"k": {"serial_median_ns": 5,
-                "parallel_median_ns": 5, "serial_min_ns": 4,
-                "parallel_min_ns": 4, "speedup": 1.0}}}"#,
-        )
-        .unwrap();
-        validate_bench_report(&doc).unwrap();
-        // v4 without per-row threads is rejected.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/4", "calibration_ns": 10,
-                "calibration_dram_ns": 20, "host": {},
-                "kernels": {"k": {"serial_median_ns": 5,
-                "parallel_median_ns": 5, "serial_min_ns": 4,
-                "parallel_min_ns": 4, "speedup": 1.0}}}"#,
-        )
-        .unwrap();
-        assert!(validate_bench_report(&doc).unwrap_err().contains("threads"));
-        // v4 with both (or neither) of speedup / single_core is rejected.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/4", "calibration_ns": 10,
-                "calibration_dram_ns": 20, "host": {},
-                "kernels": {"k": {"serial_median_ns": 5,
-                "parallel_median_ns": 5, "serial_min_ns": 4,
-                "parallel_min_ns": 4, "threads": 1, "speedup": 1.0,
-                "single_core": true}}}"#,
-        )
-        .unwrap();
-        assert!(validate_bench_report(&doc)
-            .unwrap_err()
-            .contains("exactly one"));
+        let doc = report(&[result("matmul_800", 1000, None, 1)], 5, cal(100, 200));
+        assert_eq!(doc.value("matmul_800.threads"), Some(1.0));
+        assert!(doc.row("matmul_800.speedup").is_none());
     }
 
     #[test]
     fn validation_rejects_malformed_reports() {
-        assert!(validate_bench_report(&Json::Null).is_err());
-        let doc = Json::parse(r#"{"schema": "cbmf-bench-kernels/2"}"#).unwrap();
-        assert!(validate_bench_report(&doc)
+        let text = report(&[result("matmul_800", 1000, None, 1)], 5, cal(100, 200)).render();
+        assert!(Report::parse(&text).is_ok());
+        let uncalibrated = text.replacen("{\"cache_ns\":100,\"dram_ns\":200}", "null", 1);
+        assert!(Report::parse(&uncalibrated)
             .unwrap_err()
-            .contains("cbmf-bench-kernels/2"));
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/3", "calibration_ns": 10,
-                "host": {}, "kernels": {"k": {"serial_median_ns": 5}}}"#,
-        )
-        .unwrap();
-        assert!(validate_bench_report(&doc)
-            .unwrap_err()
-            .contains("calibration_dram_ns"));
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/3", "calibration_ns": 10,
-                "calibration_dram_ns": 20, "host": {},
-                "kernels": {"k": {"serial_median_ns": 5}}}"#,
-        )
-        .unwrap();
-        assert!(validate_bench_report(&doc)
-            .unwrap_err()
-            .contains("parallel_median_ns"));
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-kernels/3", "calibration_ns": 10,
-                "calibration_dram_ns": 20, "host": {},
-                "kernels": {"k": {"serial_median_ns": 5,
-                "parallel_median_ns": 5, "serial_min_ns": 4,
-                "parallel_min_ns": 4, "naive_serial_min_ns": 0}}}"#,
-        )
-        .unwrap();
-        assert!(validate_bench_report(&doc)
-            .unwrap_err()
-            .contains("naive_serial_min_ns"));
+            .contains("calibration"));
+        let zero_probe = text.replacen("\"cache_ns\":100", "\"cache_ns\":0", 1);
+        assert!(Report::parse(&zero_probe).unwrap_err().contains("cache_ns"));
+        let nan = text.replacen("\"value\":1000", "\"value\":null", 1);
+        assert!(Report::parse(&nan).unwrap_err().contains("value"));
     }
 
     #[test]
     fn merge_min_takes_elementwise_minimum() {
-        let mut acc = vec![KernelResult {
-            name: "matmul_800",
-            serial_ns: 100,
-            parallel_ns: 50,
-            serial_min_ns: 90,
-            parallel_min_ns: 45,
-            naive_serial_min_ns: Some(400),
-            threads: 4,
-        }];
-        let rerun = vec![KernelResult {
-            name: "matmul_800",
-            serial_ns: 80,
-            parallel_ns: 60,
-            serial_min_ns: 75,
-            parallel_min_ns: 50,
-            naive_serial_min_ns: None,
-            threads: 4,
-        }];
-        merge_min(&mut acc, &rerun);
-        assert_eq!(acc[0].serial_ns, 80);
-        assert_eq!(acc[0].parallel_ns, 50);
-        assert_eq!(acc[0].serial_min_ns, 75);
-        assert_eq!(acc[0].parallel_min_ns, 45);
-        assert_eq!(acc[0].naive_serial_min_ns, Some(400));
-        let rerun = vec![KernelResult {
-            naive_serial_min_ns: Some(390),
-            ..acc[0].clone()
-        }];
-        merge_min(&mut acc, &rerun);
-        assert_eq!(acc[0].naive_serial_min_ns, Some(390));
+        let mut acc = report(&[result("matmul_800", 90, Some(400), 4)], 5, cal(100, 200));
+        let rerun = report(&[result("matmul_800", 75, None, 4)], 5, cal(120, 150));
+        acc.merge_min(&rerun);
+        assert_eq!(acc.value("matmul_800.serial_min_ns"), Some(75.0));
+        assert_eq!(acc.value("matmul_800.serial_median_ns"), Some(125.0));
+        assert_eq!(acc.value("matmul_800.naive_serial_min_ns"), Some(400.0));
+        let c = acc.calibration.unwrap();
+        assert_eq!((c.cache_ns, c.dram_ns), (100, 150));
     }
 
     #[test]
     fn median_ns_runs_warmup_plus_reps() {
         let mut calls = 0usize;
-        let _ = median_ns(5, || calls += 1);
+        let _ = time_stats(5, || calls += 1);
         assert_eq!(calls, 6, "one warm-up plus five timed repetitions");
     }
 }

@@ -24,6 +24,7 @@ use cbmf::{
     TunableProblem,
 };
 use cbmf_circuits::{MonteCarlo, Testbench, TunableDataset};
+use cbmf_linalg::Matrix;
 use cbmf_stats::SeededRng;
 
 /// Builds the per-metric modeling problem from a circuit dataset.
@@ -65,6 +66,37 @@ pub fn cbmf_paper_config() -> CbmfConfig {
             ..EmConfig::default()
         },
     }
+}
+
+/// Reduces a collected dataset to the CI-speed problem size shared by the
+/// backends and stream suites and `fit_fleet` (at most 6 states, 40
+/// variables) and projects out one metric, returning per-state samples.
+pub fn reduced_samples(ds: &TunableDataset, metric: usize) -> (Vec<Matrix>, Vec<Vec<f64>>) {
+    let states = &ds.states[..ds.states.len().min(6)];
+    let xs = states
+        .iter()
+        .map(|s| s.x.block(0, s.x.rows(), 0, s.x.cols().min(40)))
+        .collect();
+    (xs, states.iter().map(|s| s.metric(metric)).collect())
+}
+
+/// [`reduced_samples`] assembled into a linear-basis problem.
+///
+/// # Panics
+///
+/// Panics on a malformed dataset (a harness bug).
+pub fn reduced_problem(ds: &TunableDataset, metric: usize) -> TunableProblem {
+    let (xs, ys) = reduced_samples(ds, metric);
+    TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).expect("well-formed dataset")
+}
+
+/// The C-BMF configuration for [`reduced_problem`]s: the small-problem
+/// grid with θ ∈ {4, 8} and at most 5 EM iterations.
+pub fn reduced_cbmf() -> CbmfFit {
+    let mut cfg = CbmfConfig::small_problem();
+    cfg.grid.theta = vec![4, 8];
+    cfg.em.max_iters = 5;
+    CbmfFit::new(cfg)
 }
 
 /// One method's result on one metric.

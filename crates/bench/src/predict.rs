@@ -15,8 +15,8 @@
 //! even across minutes on a busy one). At d = 160 the largest batch is
 //! ~5 MB — the same memory regime as the kernel suite's 800² matrices.
 //! Even so, the 4096-row batch is the suite's most bandwidth-sensitive
-//! row, so the gate scales *its* threshold by the DRAM-probe ratio
-//! (`calibration_dram_ns`, see [`crate::kernels::calibration_dram_ns`])
+//! row, so its rows scale by the DRAM-probe ratio
+//! ([`crate::kernels::calibration_dram_ns`], listed in [`DRAM_BATCHES`])
 //! while the small batches stay on the cache-resident ratio.
 //!
 //! Each batch size is timed over enough back-to-back calls that one
@@ -28,22 +28,18 @@
 use cbmf::{BasisSpec, PerStateModel};
 use cbmf_linalg::Matrix;
 use cbmf_serve::BatchPredictor;
-use cbmf_trace::Json;
 
+use crate::gate::Report;
 use crate::kernels::{time_stats, Calibration};
-
-/// Schema tag of `BENCH_predict.json`. Version 3 adds the fused
-/// basis→GEMM path's per-sample timings (`fused_*`) next to the
-/// materialized-path timings; `serial_*`/`parallel_*` keep timing the
-/// materialized path so min-time gating stays continuous across the bump.
-pub const PREDICT_SCHEMA: &str = "cbmf-bench-predict/3";
-
-/// Previous schema version the validator also accepts (no fused fields).
-pub const PREDICT_SCHEMA_PREV: &str = "cbmf-bench-predict/2";
 
 /// Batch sizes the suite times: latency (1), a cache tile (64), and a
 /// Monte-Carlo-scale block (4096).
 pub const BATCH_SIZES: [usize; 3] = [1, 64, 4096];
+
+/// Batch sizes whose rows scale by the DRAM probe: the 4096-row batch
+/// streams the largest working set of the suite and tracks memory
+/// bandwidth, not core speed.
+pub const DRAM_BATCHES: [usize; 1] = [4096];
 
 /// States in the synthetic serving model (the paper's LNA has 32 tuning
 /// states; 8 keeps a full suite run under a second per repetition while
@@ -61,29 +57,15 @@ pub const SUPPORT: usize = 24;
 /// is replayed `SAMPLES_PER_REP / batch` times back to back).
 pub const SAMPLES_PER_REP: usize = 8192;
 
-/// Per-sample timings for one batch size.
+/// Per-sample `(median, min)` nanoseconds for one batch size.
 #[derive(Debug, Clone)]
 pub struct PredictResult {
     /// Rows per `predict_batch` call.
     pub batch: usize,
-    /// Median nanoseconds per sample under `with_threads(1)`.
-    pub serial_ns: u128,
-    /// Median nanoseconds per sample at the machine's thread width.
-    pub parallel_ns: u128,
-    /// Minimum nanoseconds per sample, serial — the gated statistic.
-    pub serial_min_ns: u128,
-    /// Minimum nanoseconds per sample, parallel.
-    pub parallel_min_ns: u128,
-    /// Median nanoseconds per sample through the fused basis→GEMM path,
-    /// serial.
-    pub fused_serial_ns: u128,
-    /// Median nanoseconds per sample through the fused path at thread
-    /// width.
-    pub fused_parallel_ns: u128,
-    /// Minimum nanoseconds per sample through the fused path, serial.
-    pub fused_serial_min_ns: u128,
-    /// Minimum nanoseconds per sample through the fused path, parallel.
-    pub fused_parallel_min_ns: u128,
+    /// Under `with_threads(1)`.
+    pub serial: (u128, u128),
+    /// At the machine's thread width.
+    pub parallel: (u128, u128),
 }
 
 /// The fixed synthetic serving model: deterministic support, coefficients
@@ -108,398 +90,124 @@ fn query_batch(rows: usize) -> Matrix {
 }
 
 /// Times `predict_batch` at every [`BATCH_SIZES`] entry, serially and at
-/// `threads` width, `reps` repetitions each. `report` is called once per
-/// finished batch size (the binaries stream progress through it).
-pub fn run_predict_suite(
-    reps: usize,
-    threads: usize,
-    mut report: impl FnMut(&PredictResult),
-) -> Vec<PredictResult> {
-    // The materialized path stays on `serial_*`/`parallel_*` (the fields the
-    // gate has always compared); the fused path is timed separately so the
-    // baseline carries its own before/after.
-    let plain = BatchPredictor::new(serving_model()).with_fused(false);
-    let fused = BatchPredictor::new(serving_model()).with_fused(true);
+/// `threads` width, `reps` repetitions each.
+pub fn run_predict_suite(reps: usize, threads: usize) -> Vec<PredictResult> {
+    let predictor = BatchPredictor::new(serving_model());
     let mut results = Vec::with_capacity(BATCH_SIZES.len());
     for batch in BATCH_SIZES {
         let xs = query_batch(batch);
         let calls = SAMPLES_PER_REP.div_ceil(batch);
         let samples = (batch * calls) as u128;
-        let time_path = |predictor: &BatchPredictor| {
-            let run = || {
-                for _ in 0..calls {
-                    std::hint::black_box(predictor.predict_batch(&xs).expect("valid batch"));
-                }
-            };
-            let (s_med, s_min) = time_stats(reps, || cbmf_parallel::with_threads(1, run));
-            let (p_med, p_min) = time_stats(reps, || cbmf_parallel::with_threads(threads, run));
-            (
-                (s_med / samples).max(1),
-                (p_med / samples).max(1),
-                (s_min / samples).max(1),
-                (p_min / samples).max(1),
-            )
+        let run = || {
+            for _ in 0..calls {
+                std::hint::black_box(predictor.predict_batch(&xs).expect("valid batch"));
+            }
         };
-        let (serial_ns, parallel_ns, serial_min_ns, parallel_min_ns) = time_path(&plain);
-        let (fused_serial_ns, fused_parallel_ns, fused_serial_min_ns, fused_parallel_min_ns) =
-            time_path(&fused);
-        let r = PredictResult {
+        let per_sample =
+            |(med, min): (u128, u128)| ((med / samples).max(1), (min / samples).max(1));
+        results.push(PredictResult {
             batch,
-            serial_ns,
-            parallel_ns,
-            serial_min_ns,
-            parallel_min_ns,
-            fused_serial_ns,
-            fused_parallel_ns,
-            fused_serial_min_ns,
-            fused_parallel_min_ns,
-        };
-        report(&r);
-        results.push(r);
+            serial: per_sample(time_stats(reps, || cbmf_parallel::with_threads(1, run))),
+            parallel: per_sample(time_stats(reps, || {
+                cbmf_parallel::with_threads(threads, run)
+            })),
+        });
     }
     results
 }
 
-/// Merges a re-run into accumulated results by element-wise minimum
-/// (matched by batch size) — same retry strategy as the kernel suite.
-pub fn merge_min_predict(into: &mut [PredictResult], rerun: &[PredictResult]) {
-    for r in into.iter_mut() {
-        if let Some(n) = rerun.iter().find(|n| n.batch == r.batch) {
-            r.serial_ns = r.serial_ns.min(n.serial_ns);
-            r.parallel_ns = r.parallel_ns.min(n.parallel_ns);
-            r.serial_min_ns = r.serial_min_ns.min(n.serial_min_ns);
-            r.parallel_min_ns = r.parallel_min_ns.min(n.parallel_min_ns);
-            r.fused_serial_ns = r.fused_serial_ns.min(n.fused_serial_ns);
-            r.fused_parallel_ns = r.fused_parallel_ns.min(n.fused_parallel_ns);
-            r.fused_serial_min_ns = r.fused_serial_min_ns.min(n.fused_serial_min_ns);
-            r.fused_parallel_min_ns = r.fused_parallel_min_ns.min(n.fused_parallel_min_ns);
-        }
-    }
-}
-
-/// Key of one batch entry in the report (zero-padded so the sorted-key
-/// document lists batch sizes in numeric order).
+/// Key of one batch size in row ids (zero-padded so ids sort in numeric
+/// order).
 pub fn batch_key(batch: usize) -> String {
     format!("batch_{batch:04}")
 }
 
-/// Renders suite results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_predict.json`.
-pub fn render_predict_report(
-    results: &[PredictResult],
-    reps: usize,
-    threads: usize,
-    calibration: Calibration,
-) -> Json {
-    let batches: std::collections::BTreeMap<String, Json> = results
-        .iter()
-        .map(|r| {
-            let fused_speedup = r.serial_min_ns as f64 / r.fused_serial_min_ns.max(1) as f64;
-            (
-                batch_key(r.batch),
-                Json::obj([
-                    (
-                        "serial_median_ns".to_string(),
-                        Json::Num(r.serial_ns as f64),
-                    ),
-                    (
-                        "parallel_median_ns".to_string(),
-                        Json::Num(r.parallel_ns as f64),
-                    ),
-                    (
-                        "serial_min_ns".to_string(),
-                        Json::Num(r.serial_min_ns as f64),
-                    ),
-                    (
-                        "parallel_min_ns".to_string(),
-                        Json::Num(r.parallel_min_ns as f64),
-                    ),
-                    (
-                        "fused_serial_median_ns".to_string(),
-                        Json::Num(r.fused_serial_ns as f64),
-                    ),
-                    (
-                        "fused_parallel_median_ns".to_string(),
-                        Json::Num(r.fused_parallel_ns as f64),
-                    ),
-                    (
-                        "fused_serial_min_ns".to_string(),
-                        Json::Num(r.fused_serial_min_ns as f64),
-                    ),
-                    (
-                        "fused_parallel_min_ns".to_string(),
-                        Json::Num(r.fused_parallel_min_ns as f64),
-                    ),
-                    (
-                        "fused_speedup".to_string(),
-                        Json::Num((fused_speedup * 1000.0).round() / 1000.0),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    let workload = Json::obj([
-        ("states".to_string(), Json::Num(STATES as f64)),
-        ("support".to_string(), Json::Num(SUPPORT as f64)),
-        ("variables".to_string(), Json::Num(VARIABLES as f64)),
-    ]);
-    let mut fields = vec![
-        ("schema".to_string(), Json::Str(PREDICT_SCHEMA.to_string())),
-        ("reps".to_string(), Json::Num(reps as f64)),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), crate::kernels::host_with_isa()),
-        ("batches".to_string(), Json::Obj(batches)),
-        ("workload".to_string(), workload),
-    ];
-    if threads <= 1 {
-        fields.push((
-            "note".to_string(),
-            Json::Str(
-                "single-core host: serial and parallel paths are the same code path, \
-                 so speedups are ~1.0 by construction; re-run on a multi-core machine \
-                 to measure scaling"
-                    .to_string(),
-            ),
-        ));
+/// Renders suite results as a `predict` report.
+pub fn report(results: &[PredictResult], reps: usize, calibration: Calibration) -> Report {
+    let mut out = Report::new("predict", Some(calibration));
+    out.info("reps", reps as f64, "count");
+    for (name, v) in [
+        ("states", STATES),
+        ("support", SUPPORT),
+        ("variables", VARIABLES),
+    ] {
+        out.info(format!("workload.{name}"), v as f64, "count");
     }
-    Json::obj(fields)
-}
-
-/// Validates the fixed skeleton of a predict report: schema string,
-/// positive calibration, host object, and a non-empty batch map whose
-/// entries carry all four per-sample statistics.
-pub fn validate_predict_report(doc: &Json) -> Result<(), String> {
-    let schema = match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == PREDICT_SCHEMA || s == PREDICT_SCHEMA_PREV => s,
-        Some(s) => return Err(format!("schema '{s}' is not '{PREDICT_SCHEMA}' (or the still-accepted '{PREDICT_SCHEMA_PREV}')")),
-        None => return Err("missing 'schema' field".to_string()),
-    };
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    let batches = doc
-        .get("batches")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'batches' object")?;
-    if batches.is_empty() {
-        return Err("empty 'batches' object".to_string());
-    }
-    for (name, b) in batches {
-        for field in [
-            "serial_median_ns",
-            "parallel_median_ns",
-            "serial_min_ns",
-            "parallel_min_ns",
-        ] {
-            match b.get(field).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 => {}
-                _ => return Err(format!("batch '{name}': bad '{field}'")),
-            }
-        }
-        if schema == PREDICT_SCHEMA {
-            for field in [
-                "fused_serial_median_ns",
-                "fused_parallel_median_ns",
-                "fused_serial_min_ns",
-                "fused_parallel_min_ns",
-            ] {
-                match b.get(field).and_then(Json::as_f64) {
-                    Some(v) if v > 0.0 => {}
-                    _ => return Err(format!("batch '{name}': bad '{field}'")),
-                }
+    for r in results {
+        let key = batch_key(r.batch);
+        for (path, t) in [("serial", r.serial), ("parallel", r.parallel)] {
+            let row = out.timing(&format!("{key}.{path}"), t);
+            if DRAM_BATCHES.contains(&r.batch) {
+                row.on_dram();
             }
         }
     }
-    Ok(())
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cal(cache_ns: u128, dram_ns: u128) -> Calibration {
-        Calibration { cache_ns, dram_ns }
-    }
+    use crate::gate::baseline_path;
+    use crate::kernels::cal;
 
     #[test]
     fn suite_covers_every_batch_size_and_validates() {
-        let results = run_predict_suite(1, 2, |_| {});
+        let results = run_predict_suite(1, 2);
         assert_eq!(results.len(), BATCH_SIZES.len());
         for (r, &b) in results.iter().zip(&BATCH_SIZES) {
             assert_eq!(r.batch, b);
-            assert!(r.serial_min_ns >= 1 && r.serial_min_ns <= r.serial_ns);
+            assert!(r.serial.1 >= 1 && r.serial.1 <= r.serial.0);
         }
-        let doc = render_predict_report(&results, 1, 2, cal(12345, 67890));
-        validate_predict_report(&doc).expect("fresh report validates");
-        // Byte-stable: parse-then-render reproduces the canonical text.
-        let text = format!("{}\n", doc.to_pretty());
-        let reparsed = Json::parse(&text).unwrap();
-        assert_eq!(format!("{}\n", reparsed.to_pretty()), text);
+        let doc = report(&results, 1, cal(12345, 67890));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        assert!(doc.row("batch_4096.serial_min_ns").unwrap().dram);
+        assert!(!doc.row("batch_0064.serial_min_ns").unwrap().dram);
     }
 
     #[test]
     fn merge_min_takes_elementwise_minimum() {
         let mk = |s: u128, p: u128| PredictResult {
             batch: 64,
-            serial_ns: s,
-            parallel_ns: p,
-            serial_min_ns: s,
-            parallel_min_ns: p,
-            fused_serial_ns: s / 2,
-            fused_parallel_ns: p / 2,
-            fused_serial_min_ns: s / 2,
-            fused_parallel_min_ns: p / 2,
+            serial: (s, s),
+            parallel: (p, p),
         };
-        let mut acc = vec![mk(100, 90)];
-        merge_min_predict(&mut acc, &[mk(80, 95)]);
-        assert_eq!(acc[0].serial_min_ns, 80);
-        assert_eq!(acc[0].parallel_min_ns, 90);
-        assert_eq!(acc[0].fused_serial_min_ns, 40);
-        assert_eq!(acc[0].fused_parallel_min_ns, 45);
+        let mut acc = report(&[mk(100, 90)], 1, cal(1, 1));
+        acc.merge_min(&report(&[mk(80, 95)], 1, cal(1, 1)));
+        assert_eq!(acc.value("batch_0064.serial_min_ns"), Some(80.0));
+        assert_eq!(acc.value("batch_0064.parallel_min_ns"), Some(90.0));
     }
 
     #[test]
     fn validate_rejects_malformed_reports() {
-        let good = render_predict_report(
-            &[PredictResult {
-                batch: 1,
-                serial_ns: 10,
-                parallel_ns: 10,
-                serial_min_ns: 9,
-                parallel_min_ns: 9,
-                fused_serial_ns: 6,
-                fused_parallel_ns: 6,
-                fused_serial_min_ns: 5,
-                fused_parallel_min_ns: 5,
-            }],
-            1,
-            1,
-            cal(100, 200),
-        );
-        validate_predict_report(&good).unwrap();
-        // Rendered rows carry the fused before/after and its speedup.
-        let row = good.get("batches").unwrap().get("batch_0001").unwrap();
-        assert_eq!(row.get("fused_serial_min_ns").unwrap().as_f64(), Some(5.0));
-        assert_eq!(row.get("fused_speedup").unwrap().as_f64(), Some(1.8));
-        // The previous schema (no fused fields) still validates; the current
-        // schema without them does not.
-        let v2 = Json::parse(
-            r#"{"schema": "cbmf-bench-predict/2", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {},
-                "batches": {"batch_0001": {"serial_median_ns": 1,
-                "parallel_median_ns": 1, "serial_min_ns": 1, "parallel_min_ns": 1}}}"#,
-        )
-        .unwrap();
-        validate_predict_report(&v2).unwrap();
-        let v3_missing_fused = Json::parse(
-            r#"{"schema": "cbmf-bench-predict/3", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {},
-                "batches": {"batch_0001": {"serial_median_ns": 1,
-                "parallel_median_ns": 1, "serial_min_ns": 1, "parallel_min_ns": 1}}}"#,
-        )
-        .unwrap();
-        assert!(validate_predict_report(&v3_missing_fused)
-            .unwrap_err()
-            .contains("fused_serial_median_ns"));
-        assert!(validate_predict_report(&Json::Null).is_err());
-        let wrong_schema = Json::parse(
-            r#"{"schema": "cbmf-bench-predict/9", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {},
-                "batches": {"batch_0001": {"serial_median_ns": 1,
-                "parallel_median_ns": 1, "serial_min_ns": 1, "parallel_min_ns": 1}}}"#,
-        )
-        .unwrap();
-        assert!(validate_predict_report(&wrong_schema)
-            .unwrap_err()
-            .contains("cbmf-bench-predict/9"));
-        let no_dram = Json::parse(
-            r#"{"schema": "cbmf-bench-predict/2", "calibration_ns": 1,
-                "host": {}, "batches": {"batch_0001": {"serial_median_ns": 1,
-                "parallel_median_ns": 1, "serial_min_ns": 1, "parallel_min_ns": 1}}}"#,
-        )
-        .unwrap();
-        assert!(validate_predict_report(&no_dram)
-            .unwrap_err()
-            .contains("calibration_dram_ns"));
-        let missing_field = Json::parse(
-            r#"{"schema": "cbmf-bench-predict/2", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {},
-                "batches": {"batch_0001": {"serial_median_ns": 1}}}"#,
-        )
-        .unwrap();
-        assert!(
-            validate_predict_report(&missing_field)
-                .unwrap_err()
-                .contains("serial_min_ns")
-                || validate_predict_report(&missing_field)
-                    .unwrap_err()
-                    .contains("parallel_median_ns")
-        );
+        let mk = PredictResult {
+            batch: 4096,
+            serial: (10, 9),
+            parallel: (10, 9),
+        };
+        let text = report(&[mk], 1, cal(100, 200)).render();
+        assert!(Report::parse(&text).is_ok());
+        // The DRAM probe belongs to timed rows only.
+        let bad = text.replacen("\"id\":\"reps\",", "\"id\":\"reps\",\"probe\":\"dram\",", 1);
+        assert!(Report::parse(&bad).unwrap_err().contains("probe"));
+        let wrong_schema = text.replacen("cbmf-bench/1", "cbmf-bench-predict/3", 1);
+        assert!(Report::parse(&wrong_schema).unwrap_err().contains("schema"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, cover the
-    /// exact batch sizes this suite runs, and be byte-stable. A failure
+    /// The committed baseline must parse, cover the exact batch sizes this
+    /// suite runs with the right probe, and be in canonical form. A failure
     /// here means `BENCH_predict.json` needs regenerating via
-    /// `cargo run --release -p cbmf-bench --bin bench_predict`.
+    /// `ci_gate --write-baseline predict`.
     #[test]
     fn committed_predict_baseline_is_schema_stable() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predict.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_predict.json");
-        let doc = Json::parse(&text).expect("parse BENCH_predict.json");
-        validate_predict_report(&doc).expect("committed baseline validates");
-        let batches = doc.get("batches").and_then(Json::as_obj).unwrap();
+        let text = std::fs::read_to_string(baseline_path("predict")).unwrap();
+        let doc = Report::parse(&text).unwrap();
         for b in BATCH_SIZES {
-            assert!(
-                batches.contains_key(&batch_key(b)),
-                "baseline lacks {}",
-                batch_key(b)
-            );
+            let row = doc
+                .row(&format!("{}.serial_min_ns", batch_key(b)))
+                .unwrap_or_else(|| panic!("baseline lacks {}", batch_key(b)));
+            assert_eq!(row.dram, DRAM_BATCHES.contains(&b));
         }
-        assert_eq!(
-            format!("{}\n", doc.to_pretty()),
-            text,
-            "BENCH_predict.json is not in canonical form"
-        );
-    }
-
-    /// The acceptance evidence for the fused serving path lives in the
-    /// committed baseline: at the 64-row tile batch the fused path must be
-    /// at least 1.3× faster (by minimum per-sample time, serial) than the
-    /// materialized path measured in the same document.
-    #[test]
-    fn committed_baseline_fused_batch64_beats_materialized() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predict.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_predict.json");
-        let doc = Json::parse(&text).expect("parse");
-        let row = doc
-            .get("batches")
-            .and_then(|b| b.get(&batch_key(64)))
-            .expect("batch_0064 row");
-        let plain = row
-            .get("serial_min_ns")
-            .and_then(Json::as_f64)
-            .expect("serial_min_ns");
-        let fused = row
-            .get("fused_serial_min_ns")
-            .and_then(Json::as_f64)
-            .expect("fused_serial_min_ns");
-        assert!(
-            plain >= 1.3 * fused,
-            "batch_0064: fused {fused} ns/sample is not ≥1.3x faster than \
-             materialized {plain} ns/sample"
-        );
+        assert_eq!(doc.render(), text, "BENCH_predict.json is not canonical");
     }
 }

@@ -26,8 +26,9 @@
 //! recorded (and min-time gated) as the protocol-overhead baseline.
 //!
 //! As in the kernel and predict suites, the **minimum** per-request time
-//! is the gated statistic, thresholds are scaled by the cache-resident
-//! calibration ratio, and the document is canonical sorted-key JSON.
+//! is the gated statistic and thresholds are scaled by the cache-resident
+//! calibration ratio; the coalescing gain at the top concurrency is a
+//! `floor` row of the same report.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -36,13 +37,10 @@ use cbmf::{BasisSpec, PerStateModel, PosteriorPredictive, PredictiveParts};
 use cbmf_linalg::Matrix;
 use cbmf_serve::{BatchConfig, BatchPredictor, ModelArtifact};
 use cbmf_server::{PredictClient, PredictionServer, ServerConfig};
-use cbmf_trace::Json;
 
+use crate::gate::{Report, Rule};
 use crate::kernels::Calibration;
 use crate::predict::{STATES, SUPPORT, VARIABLES};
-
-/// Schema tag of `BENCH_serve.json`.
-pub const SERVE_SCHEMA: &str = "cbmf-bench-serve/1";
 
 /// Closed-loop client counts the suite drives.
 pub const CONCURRENCY: [usize; 3] = [1, 8, 64];
@@ -90,27 +88,20 @@ impl Default for ServeLoad {
     }
 }
 
-/// Per-request wall-clock timings for one closed-loop concurrency.
+/// Per-request wall-clock `(median, min)` nanoseconds for one closed-loop
+/// concurrency; the minimum is the gated statistic.
 #[derive(Debug, Clone)]
 pub struct ServeResult {
     /// Concurrent closed-loop clients.
     pub clients: usize,
-    /// Median ns/request, mean path, coalescing server.
-    pub mean_coalesced_ns: u128,
-    /// Minimum ns/request, mean path, coalescing server — gated.
-    pub mean_coalesced_min_ns: u128,
-    /// Median ns/request, mean path, `max_batch = 1` server.
-    pub mean_uncoalesced_ns: u128,
-    /// Minimum ns/request, mean path, `max_batch = 1` server — gated.
-    pub mean_uncoalesced_min_ns: u128,
-    /// Median ns/request, uncertainty path, coalescing server.
-    pub var_coalesced_ns: u128,
-    /// Minimum ns/request, uncertainty path, coalescing server — gated.
-    pub var_coalesced_min_ns: u128,
-    /// Median ns/request, uncertainty path, `max_batch = 1` server.
-    pub var_uncoalesced_ns: u128,
-    /// Minimum ns/request, uncertainty path, `max_batch = 1` server — gated.
-    pub var_uncoalesced_min_ns: u128,
+    /// Mean path, coalescing server.
+    pub mean_coalesced: (u128, u128),
+    /// Mean path, `max_batch = 1` server.
+    pub mean_uncoalesced: (u128, u128),
+    /// Uncertainty path, coalescing server.
+    pub var_coalesced: (u128, u128),
+    /// Uncertainty path, `max_batch = 1` server.
+    pub var_uncoalesced: (u128, u128),
     /// Achieved tile-size histogram of the coalescing server's uncertainty
     /// queue over this concurrency's repetitions: `var_fill[i]` counts
     /// dispatched tiles of `i + 1` samples.
@@ -194,21 +185,6 @@ fn bench_sample(variables: usize, i: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Batching window of the coalescing server under test.
-fn coalesced_config() -> BatchConfig {
-    BatchConfig::from_env()
-        .with_max_batch(COALESCED_MAX_BATCH)
-        .with_deadline(std::time::Duration::from_micros(COALESCED_DEADLINE_US))
-        .with_queue_depth(SERVE_QUEUE_DEPTH)
-}
-
-/// The baseline window: one `predict_batch` call per request.
-fn uncoalesced_config() -> BatchConfig {
-    BatchConfig::from_env()
-        .with_max_batch(1)
-        .with_queue_depth(SERVE_QUEUE_DEPTH)
-}
-
 /// Drives `clients` closed-loop connections, `per_client` requests each,
 /// and returns total wall-clock nanoseconds from the start barrier to the
 /// last join. Requests only enter flight after every client has connected.
@@ -273,24 +249,21 @@ pub fn run_serve_suite_on(
     let variables = predictor.model().num_variables();
     let mut results = Vec::with_capacity(CONCURRENCY.len());
     for clients in CONCURRENCY {
-        let coalesced = PredictionServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(predictor),
-            ServerConfig {
-                batch: coalesced_config(),
+        let bind = |max_batch: usize| {
+            let batch = BatchConfig::from_env()
+                .with_max_batch(max_batch)
+                .with_deadline(std::time::Duration::from_micros(COALESCED_DEADLINE_US))
+                .with_queue_depth(SERVE_QUEUE_DEPTH);
+            let config = ServerConfig {
+                batch,
                 ..ServerConfig::default()
-            },
-        )
-        .expect("bind coalescing server");
-        let uncoalesced = PredictionServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(predictor),
-            ServerConfig {
-                batch: uncoalesced_config(),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind max_batch=1 server");
+            };
+            PredictionServer::bind("127.0.0.1:0", Arc::clone(predictor), config)
+                .expect("bind loopback server")
+        };
+        // The coalescing window under test, and the `max_batch = 1`
+        // baseline: one `predict_batch` call per request.
+        let (coalesced, uncoalesced) = (bind(COALESCED_MAX_BATCH), bind(1));
 
         let mut times = [const { Vec::new() }; 4]; // [mean_co, mean_un, var_co, var_un]
         for _ in 0..reps {
@@ -306,25 +279,18 @@ pub fn run_serve_suite_on(
                 times[slot].push((wall / requests).max(1));
             }
         }
-        let (mean_coalesced_ns, mean_coalesced_min_ns) = median_min(&mut times[0]);
-        let (mean_uncoalesced_ns, mean_uncoalesced_min_ns) = median_min(&mut times[1]);
-        let (var_coalesced_ns, var_coalesced_min_ns) = median_min(&mut times[2]);
-        let (var_uncoalesced_ns, var_uncoalesced_min_ns) = median_min(&mut times[3]);
-        let var_fill = coalesced
-            .var_queue_stats()
-            .expect("uncertainty queue exists")
-            .fill;
+        let [mean_coalesced, mean_uncoalesced, var_coalesced, var_uncoalesced] =
+            times.map(|mut t| median_min(&mut t));
         let r = ServeResult {
             clients,
-            mean_coalesced_ns,
-            mean_coalesced_min_ns,
-            mean_uncoalesced_ns,
-            mean_uncoalesced_min_ns,
-            var_coalesced_ns,
-            var_coalesced_min_ns,
-            var_uncoalesced_ns,
-            var_uncoalesced_min_ns,
-            var_fill,
+            mean_coalesced,
+            mean_uncoalesced,
+            var_coalesced,
+            var_uncoalesced,
+            var_fill: coalesced
+                .var_queue_stats()
+                .expect("uncertainty queue exists")
+                .fill,
         };
         report(&r);
         results.push(r);
@@ -342,264 +308,72 @@ pub fn run_serve_suite(
     run_serve_suite_on(&predictor, reps, load, report)
 }
 
-/// Merges a re-run into accumulated results by element-wise minimum
-/// (matched by client count) — the retry strategy of every min-time suite.
-/// The fill histogram follows whichever run holds the better coalesced
-/// uncertainty minimum.
-pub fn merge_min_serve(into: &mut [ServeResult], rerun: &[ServeResult]) {
-    for r in into.iter_mut() {
-        if let Some(n) = rerun.iter().find(|n| n.clients == r.clients) {
-            if n.var_coalesced_min_ns < r.var_coalesced_min_ns {
-                r.var_fill = n.var_fill.clone();
-            }
-            r.mean_coalesced_ns = r.mean_coalesced_ns.min(n.mean_coalesced_ns);
-            r.mean_coalesced_min_ns = r.mean_coalesced_min_ns.min(n.mean_coalesced_min_ns);
-            r.mean_uncoalesced_ns = r.mean_uncoalesced_ns.min(n.mean_uncoalesced_ns);
-            r.mean_uncoalesced_min_ns = r.mean_uncoalesced_min_ns.min(n.mean_uncoalesced_min_ns);
-            r.var_coalesced_ns = r.var_coalesced_ns.min(n.var_coalesced_ns);
-            r.var_coalesced_min_ns = r.var_coalesced_min_ns.min(n.var_coalesced_min_ns);
-            r.var_uncoalesced_ns = r.var_uncoalesced_ns.min(n.var_uncoalesced_ns);
-            r.var_uncoalesced_min_ns = r.var_uncoalesced_min_ns.min(n.var_uncoalesced_min_ns);
-        }
-    }
-}
-
 /// Key of one concurrency entry in the report (zero-padded for numeric
 /// sorted-key order).
 pub fn clients_key(clients: usize) -> String {
     format!("clients_{clients:04}")
 }
 
-fn rps(min_ns: u128) -> f64 {
-    (1e9 / min_ns.max(1) as f64).round()
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
-}
-
 /// The coalescing gain a result demonstrates on the uncertainty path: the
 /// throughput ratio of the coalescing server over the `max_batch = 1`
 /// server, by minimum per-request time.
 pub fn var_gain(r: &ServeResult) -> f64 {
-    r.var_uncoalesced_min_ns as f64 / r.var_coalesced_min_ns.max(1) as f64
+    r.var_uncoalesced.1 as f64 / r.var_coalesced.1.max(1) as f64
 }
 
-/// Renders suite results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_serve.json`.
-pub fn render_serve_report(
+/// Renders suite results as a `serve` report. The uncertainty-path
+/// coalescing gain is a `floor` row at the top concurrency and `info`
+/// elsewhere; the achieved tile-size histogram of the top concurrency is
+/// recorded as one `batch_fill.NN` row per nonzero bucket (tiles of NN
+/// samples).
+pub fn report(
     results: &[ServeResult],
     reps: usize,
     load: ServeLoad,
     calibration: Calibration,
-) -> Json {
-    let clients: std::collections::BTreeMap<String, Json> = results
-        .iter()
-        .map(|r| {
-            (
-                clients_key(r.clients),
-                Json::obj([
-                    (
-                        "mean_coalesced_median_ns".to_string(),
-                        Json::Num(r.mean_coalesced_ns as f64),
-                    ),
-                    (
-                        "mean_coalesced_min_ns".to_string(),
-                        Json::Num(r.mean_coalesced_min_ns as f64),
-                    ),
-                    (
-                        "mean_coalesced_rps".to_string(),
-                        Json::Num(rps(r.mean_coalesced_min_ns)),
-                    ),
-                    (
-                        "mean_uncoalesced_median_ns".to_string(),
-                        Json::Num(r.mean_uncoalesced_ns as f64),
-                    ),
-                    (
-                        "mean_uncoalesced_min_ns".to_string(),
-                        Json::Num(r.mean_uncoalesced_min_ns as f64),
-                    ),
-                    (
-                        "mean_uncoalesced_rps".to_string(),
-                        Json::Num(rps(r.mean_uncoalesced_min_ns)),
-                    ),
-                    (
-                        "var_coalesced_median_ns".to_string(),
-                        Json::Num(r.var_coalesced_ns as f64),
-                    ),
-                    (
-                        "var_coalesced_min_ns".to_string(),
-                        Json::Num(r.var_coalesced_min_ns as f64),
-                    ),
-                    (
-                        "var_coalesced_rps".to_string(),
-                        Json::Num(rps(r.var_coalesced_min_ns)),
-                    ),
-                    (
-                        "var_uncoalesced_median_ns".to_string(),
-                        Json::Num(r.var_uncoalesced_ns as f64),
-                    ),
-                    (
-                        "var_uncoalesced_min_ns".to_string(),
-                        Json::Num(r.var_uncoalesced_min_ns as f64),
-                    ),
-                    (
-                        "var_uncoalesced_rps".to_string(),
-                        Json::Num(rps(r.var_uncoalesced_min_ns)),
-                    ),
-                    (
-                        "var_coalescing_gain".to_string(),
-                        Json::Num(round3(var_gain(r))),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    // The achieved tile-size histogram at the top concurrency (trailing
-    // zero buckets trimmed): the direct evidence that coalescing happened.
-    let fill = results
-        .last()
-        .map(|r| {
-            let upto = r.var_fill.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-            r.var_fill[..upto]
-                .iter()
-                .map(|&n| Json::Num(n as f64))
-                .collect()
-        })
-        .unwrap_or_default();
-    let serve = Json::obj([
-        (
-            "deadline_us".to_string(),
-            Json::Num(COALESCED_DEADLINE_US as f64),
-        ),
-        (
-            "max_batch".to_string(),
-            Json::Num(COALESCED_MAX_BATCH as f64),
-        ),
-        (
-            "queue_depth".to_string(),
-            Json::Num(SERVE_QUEUE_DEPTH as f64),
-        ),
-    ]);
-    let workload = Json::obj([
-        (
-            "mean_requests_per_client".to_string(),
-            Json::Num(load.mean_requests as f64),
-        ),
-        (
-            "rows_per_state".to_string(),
-            Json::Num(load.rows_per_state as f64),
-        ),
-        ("states".to_string(), Json::Num(STATES as f64)),
-        ("support".to_string(), Json::Num(SUPPORT as f64)),
-        (
-            "var_requests_per_client".to_string(),
-            Json::Num(load.var_requests as f64),
-        ),
-        ("variables".to_string(), Json::Num(VARIABLES as f64)),
-    ]);
-    Json::obj([
-        ("schema".to_string(), Json::Str(SERVE_SCHEMA.to_string())),
-        ("reps".to_string(), Json::Num(reps as f64)),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), crate::kernels::host_with_isa()),
-        ("batch_fill".to_string(), Json::Arr(fill)),
-        ("clients".to_string(), Json::Obj(clients)),
-        ("serve".to_string(), serve),
-        ("workload".to_string(), workload),
-    ])
-}
-
-/// The four gated per-request minimum-time fields of a clients entry.
-pub const SERVE_MIN_FIELDS: &[&str] = &[
-    "mean_coalesced_min_ns",
-    "mean_uncoalesced_min_ns",
-    "var_coalesced_min_ns",
-    "var_uncoalesced_min_ns",
-];
-
-/// Validates the fixed skeleton of a serve report: schema string, positive
-/// calibrations, host object, batching-window section, a non-empty clients
-/// map whose entries carry every per-request statistic, and a non-empty
-/// achieved-tile-size histogram.
-pub fn validate_serve_report(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SERVE_SCHEMA => {}
-        Some(s) => return Err(format!("schema '{s}' is not '{SERVE_SCHEMA}'")),
-        None => return Err("missing 'schema' field".to_string()),
+) -> Report {
+    let mut out = Report::new("serve", Some(calibration));
+    out.info("reps", reps as f64, "count");
+    let config = [
+        ("serve.deadline_us", COALESCED_DEADLINE_US as usize),
+        ("serve.max_batch", COALESCED_MAX_BATCH),
+        ("serve.queue_depth", SERVE_QUEUE_DEPTH),
+        ("workload.mean_requests_per_client", load.mean_requests),
+        ("workload.rows_per_state", load.rows_per_state),
+        ("workload.states", STATES),
+        ("workload.support", SUPPORT),
+        ("workload.var_requests_per_client", load.var_requests),
+        ("workload.variables", VARIABLES),
+    ];
+    for (id, v) in config {
+        out.info(id, v as f64, "count");
     }
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    let serve = doc
-        .get("serve")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'serve' object")?;
-    for field in ["deadline_us", "max_batch", "queue_depth"] {
-        match serve.get(field).and_then(Json::as_f64) {
-            Some(v) if v >= 0.0 => {}
-            _ => return Err(format!("serve: bad '{field}'")),
-        }
-    }
-    let fill = doc
-        .get("batch_fill")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'batch_fill' array")?;
-    if fill.is_empty() || fill.iter().any(|v| v.as_f64().is_none_or(|n| n < 0.0)) {
-        return Err("'batch_fill' must be a non-empty array of counts".to_string());
-    }
-    let clients = doc
-        .get("clients")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'clients' object")?;
-    if clients.is_empty() {
-        return Err("empty 'clients' object".to_string());
-    }
-    for (name, c) in clients {
-        for field in [
-            "mean_coalesced_median_ns",
-            "mean_coalesced_min_ns",
-            "mean_coalesced_rps",
-            "mean_uncoalesced_median_ns",
-            "mean_uncoalesced_min_ns",
-            "mean_uncoalesced_rps",
-            "var_coalesced_median_ns",
-            "var_coalesced_min_ns",
-            "var_coalesced_rps",
-            "var_uncoalesced_median_ns",
-            "var_uncoalesced_min_ns",
-            "var_uncoalesced_rps",
-            "var_coalescing_gain",
-        ] {
-            match c.get(field).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 => {}
-                _ => return Err(format!("clients '{name}': bad '{field}'")),
+    let top = CONCURRENCY[CONCURRENCY.len() - 1];
+    for r in results {
+        let key = clients_key(r.clients);
+        out.timing(&format!("{key}.mean_coalesced"), r.mean_coalesced);
+        out.timing(&format!("{key}.mean_uncoalesced"), r.mean_uncoalesced);
+        out.timing(&format!("{key}.var_coalesced"), r.var_coalesced);
+        out.timing(&format!("{key}.var_uncoalesced"), r.var_uncoalesced);
+        let gain = format!("{key}.var_coalescing_gain");
+        if r.clients == top {
+            out.push(gain, var_gain(r), "x", Rule::Floor)
+                .limit(MIN_COALESCING_GAIN);
+            for (i, &n) in r.var_fill.iter().enumerate().filter(|(_, &n)| n > 0) {
+                out.info(format!("batch_fill.{:02}", i + 1), n as f64, "count");
             }
+        } else {
+            out.info(gain, var_gain(r), "x");
         }
     }
-    Ok(())
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cal(cache_ns: u128, dram_ns: u128) -> Calibration {
-        Calibration { cache_ns, dram_ns }
-    }
+    use crate::gate::baseline_path;
+    use crate::kernels::cal;
 
     fn tiny_load() -> ServeLoad {
         ServeLoad {
@@ -612,15 +386,11 @@ mod tests {
     fn mk(clients: usize, co: u128, un: u128) -> ServeResult {
         ServeResult {
             clients,
-            mean_coalesced_ns: co,
-            mean_coalesced_min_ns: co,
-            mean_uncoalesced_ns: un,
-            mean_uncoalesced_min_ns: un,
-            var_coalesced_ns: co * 10,
-            var_coalesced_min_ns: co * 10,
-            var_uncoalesced_ns: un * 10,
-            var_uncoalesced_min_ns: un * 10,
-            var_fill: vec![1, 0, 2],
+            mean_coalesced: (co, co),
+            mean_uncoalesced: (un, un),
+            var_coalesced: (co * 10, co * 10),
+            var_uncoalesced: (un * 10, un * 10),
+            var_fill: vec![1, 0, 2, 0],
         }
     }
 
@@ -630,127 +400,81 @@ mod tests {
         assert_eq!(results.len(), CONCURRENCY.len());
         for (r, &c) in results.iter().zip(&CONCURRENCY) {
             assert_eq!(r.clients, c);
-            assert!(r.mean_coalesced_min_ns >= 1);
-            assert!(r.var_coalesced_min_ns >= 1);
-            assert!(r.mean_coalesced_min_ns <= r.mean_coalesced_ns);
+            assert!(r.mean_coalesced.1 >= 1 && r.var_coalesced.1 >= 1);
+            assert!(r.mean_coalesced.1 <= r.mean_coalesced.0);
         }
         // Every dispatched tile is accounted for in the fill histogram.
         let top = results.last().unwrap();
         assert!(top.var_fill.iter().sum::<u64>() > 0);
-        let doc = render_serve_report(&results, 1, tiny_load(), cal(12345, 67890));
-        validate_serve_report(&doc).expect("fresh report validates");
-        // Byte-stable: parse-then-render reproduces the canonical text.
-        let text = format!("{}\n", doc.to_pretty());
-        let reparsed = Json::parse(&text).unwrap();
-        assert_eq!(format!("{}\n", reparsed.to_pretty()), text);
+        let doc = report(&results, 1, tiny_load(), cal(12345, 67890));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]
-    fn merge_min_takes_elementwise_minimum_and_best_fill() {
-        let mut acc = vec![mk(64, 100, 200)];
-        let mut better = mk(64, 80, 250);
-        better.var_fill = vec![0, 5];
-        merge_min_serve(&mut acc, &[better]);
-        assert_eq!(acc[0].mean_coalesced_min_ns, 80);
-        assert_eq!(acc[0].mean_uncoalesced_min_ns, 200);
-        assert_eq!(acc[0].var_coalesced_min_ns, 800);
-        assert_eq!(acc[0].var_uncoalesced_min_ns, 2000);
-        // The rerun held the better coalesced minimum, so its fill wins.
-        assert_eq!(acc[0].var_fill, vec![0, 5]);
-        // A rerun with a worse coalesced minimum leaves the fill alone.
-        merge_min_serve(&mut acc, &[mk(64, 90, 190)]);
-        assert_eq!(acc[0].var_fill, vec![0, 5]);
-        // Unknown client counts are ignored.
-        merge_min_serve(&mut acc, &[mk(8, 1, 1)]);
-        assert_eq!(acc[0].mean_coalesced_min_ns, 80);
+    fn merge_min_takes_elementwise_minimum() {
+        let mut acc = report(&[mk(64, 100, 200)], 1, tiny_load(), cal(1, 1));
+        let rerun = report(&[mk(64, 80, 250)], 1, tiny_load(), cal(1, 1));
+        acc.merge_min(&rerun);
+        assert_eq!(acc.value("clients_0064.mean_coalesced_min_ns"), Some(80.0));
+        assert_eq!(
+            acc.value("clients_0064.mean_uncoalesced_min_ns"),
+            Some(200.0)
+        );
+        // The floor keeps the best gain either run demonstrated; info rows
+        // keep the first run's value.
+        assert_eq!(acc.value("batch_fill.01"), Some(1.0));
+        assert_eq!(
+            acc.value("clients_0064.var_coalescing_gain"),
+            Some(2500.0 / 800.0)
+        );
     }
 
     #[test]
     fn render_derives_rps_and_gain_from_minima() {
-        let doc = render_serve_report(&[mk(64, 100, 260)], 3, tiny_load(), cal(100, 200));
-        let row = doc.get("clients").unwrap().get("clients_0064").unwrap();
-        assert_eq!(row.get("mean_coalesced_rps").unwrap().as_f64(), Some(1e7));
-        assert_eq!(
-            row.get("var_coalescing_gain").unwrap().as_f64(),
-            Some(2.6),
-            "gain = var_uncoalesced_min / var_coalesced_min"
+        let doc = report(
+            &[mk(8, 100, 200), mk(64, 100, 260)],
+            3,
+            tiny_load(),
+            cal(100, 200),
         );
-        // Trailing zero buckets are trimmed, interior zeros kept.
-        let fill = doc.get("batch_fill").unwrap().as_arr().unwrap();
-        assert_eq!(fill.len(), 3);
+        let gain = doc.row("clients_0064.var_coalescing_gain").unwrap();
+        assert_eq!(
+            (gain.value, gain.rule, gain.limit),
+            (2.6, Rule::Floor, Some(1.3))
+        );
+        let info = doc.row("clients_0008.var_coalescing_gain").unwrap();
+        assert_eq!(info.rule, Rule::Info);
+        // Nonzero histogram buckets only, keyed by tile size.
+        assert_eq!(doc.value("batch_fill.01"), Some(1.0));
+        assert_eq!(doc.value("batch_fill.03"), Some(2.0));
+        assert!(doc.row("batch_fill.02").is_none());
     }
 
     #[test]
     fn validate_rejects_malformed_reports() {
-        let good = render_serve_report(&[mk(1, 10, 20)], 1, tiny_load(), cal(100, 200));
-        validate_serve_report(&good).unwrap();
-        assert!(validate_serve_report(&Json::Null).is_err());
-
-        let with = |f: &dyn Fn(&mut std::collections::BTreeMap<String, Json>)| {
-            let mut doc = good.clone();
-            if let Json::Obj(map) = &mut doc {
-                f(map);
-            }
-            doc
-        };
-        let wrong_schema = with(&|m| {
-            m.insert("schema".into(), Json::Str("cbmf-bench-serve/9".into()));
-        });
-        assert!(validate_serve_report(&wrong_schema)
-            .unwrap_err()
-            .contains("cbmf-bench-serve/9"));
-        let no_cal = with(&|m| {
-            m.remove("calibration_dram_ns");
-        });
-        assert!(validate_serve_report(&no_cal)
-            .unwrap_err()
-            .contains("calibration_dram_ns"));
-        let no_fill = with(&|m| {
-            m.insert("batch_fill".into(), Json::Arr(vec![]));
-        });
-        assert!(validate_serve_report(&no_fill)
-            .unwrap_err()
-            .contains("batch_fill"));
-        let no_serve = with(&|m| {
-            m.remove("serve");
-        });
-        assert!(validate_serve_report(&no_serve)
-            .unwrap_err()
-            .contains("serve"));
-        let bad_entry = with(&|m| {
-            m.insert(
-                "clients".into(),
-                Json::parse(r#"{"clients_0001": {"mean_coalesced_median_ns": 1}}"#).unwrap(),
-            );
-        });
-        assert!(validate_serve_report(&bad_entry)
-            .unwrap_err()
-            .contains("clients_0001"));
+        let text = report(&[mk(64, 10, 20)], 1, tiny_load(), cal(100, 200)).render();
+        assert!(Report::parse(&text).is_ok());
+        // A floor without its limit cannot be judged.
+        let no_limit = text.replacen("\"limit\":1.3,", "", 1);
+        assert!(Report::parse(&no_limit).unwrap_err().contains("limit"));
+        let mut empty = report(&[], 1, tiny_load(), cal(100, 200));
+        empty.rows.clear();
+        assert!(Report::parse(&empty.render()).unwrap_err().contains("rows"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, cover the
-    /// exact concurrency levels this suite runs, and be byte-stable. A
-    /// failure here means `BENCH_serve.json` needs regenerating via
-    /// `cargo run --release -p cbmf-bench --bin loadgen`.
+    /// The committed baseline must parse, cover the exact concurrency
+    /// levels this suite runs, and be in canonical form. A failure here
+    /// means `BENCH_serve.json` needs regenerating via `cargo run --release
+    /// -p cbmf-bench --bin loadgen`.
     #[test]
     fn committed_serve_baseline_is_schema_stable() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_serve.json");
-        let doc = Json::parse(&text).expect("parse BENCH_serve.json");
-        validate_serve_report(&doc).expect("committed baseline validates");
-        let clients = doc.get("clients").and_then(Json::as_obj).unwrap();
+        let text = std::fs::read_to_string(baseline_path("serve")).unwrap();
+        let doc = Report::parse(&text).unwrap();
         for c in CONCURRENCY {
-            assert!(
-                clients.contains_key(&clients_key(c)),
-                "baseline lacks {}",
-                clients_key(c)
-            );
+            let id = format!("{}.var_coalesced_min_ns", clients_key(c));
+            assert!(doc.row(&id).is_some(), "baseline lacks {id}");
         }
-        assert_eq!(
-            format!("{}\n", doc.to_pretty()),
-            text,
-            "BENCH_serve.json is not in canonical form"
-        );
+        assert_eq!(doc.render(), text, "BENCH_serve.json is not canonical");
     }
 
     /// The acceptance evidence for dynamic batching lives in the committed
@@ -759,25 +483,16 @@ mod tests {
     /// the `max_batch = 1` server's, measured in the same document.
     #[test]
     fn committed_baseline_coalescing_gain_at_64_clients() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_serve.json");
-        let doc = Json::parse(&text).expect("parse");
-        let row = doc
-            .get("clients")
-            .and_then(|c| c.get(&clients_key(64)))
-            .expect("clients_0064 row");
-        let coalesced = row
-            .get("var_coalesced_min_ns")
-            .and_then(Json::as_f64)
-            .expect("var_coalesced_min_ns");
-        let uncoalesced = row
-            .get("var_uncoalesced_min_ns")
-            .and_then(Json::as_f64)
-            .expect("var_uncoalesced_min_ns");
+        let doc = Report::load(&baseline_path("serve")).unwrap();
+        let co = doc.value("clients_0064.var_coalesced_min_ns").unwrap();
+        let un = doc.value("clients_0064.var_uncoalesced_min_ns").unwrap();
+        let gain = doc.row("clients_0064.var_coalescing_gain").unwrap();
+        assert_eq!(gain.value, un / co);
+        assert_eq!(gain.limit, Some(MIN_COALESCING_GAIN));
         assert!(
-            uncoalesced >= MIN_COALESCING_GAIN * coalesced,
-            "clients_0064: coalesced {coalesced} ns/request is not ≥{MIN_COALESCING_GAIN}x \
-             faster than uncoalesced {uncoalesced} ns/request"
+            un >= MIN_COALESCING_GAIN * co,
+            "clients_0064: coalesced {co} ns/request is not ≥{MIN_COALESCING_GAIN}x \
+             faster than uncoalesced {un} ns/request"
         );
     }
 }

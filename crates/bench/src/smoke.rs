@@ -15,13 +15,11 @@ use cbmf::{BasisSpec, CbmfConfig, CbmfFit, TunableProblem};
 use cbmf_circuits::{Lna, MonteCarlo};
 use cbmf_linalg::Matrix;
 use cbmf_stats::{normal, seeded_rng};
-use cbmf_trace::Json;
 
-/// Schema identifier of `BASELINE_accuracy.json`.
-pub const ACCURACY_SCHEMA: &str = "cbmf-accuracy-smoke/2";
+use crate::gate::{Report, Rule};
 
-/// The `recovery.*` counters pinned by the accuracy gate. On the baseline
-/// problems every one of them must stay zero: a jitter rescue or a ladder
+/// The `recovery.*` counters pinned by the accuracy gate (`ceiling` rows).
+/// On the baseline problems every one of them must stay zero: a jitter rescue or a ladder
 /// fallback that starts firing silently is a numerical regression even when
 /// the resulting error still passes the tolerance.
 pub const RECOVERY_COUNTERS: [&str; 3] = [
@@ -140,83 +138,37 @@ pub fn run_accuracy_smoke() -> SmokeOutcome {
     SmokeOutcome { cases, recovery }
 }
 
-/// Renders smoke results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BASELINE_accuracy.json`.
-pub fn render_accuracy_report(outcome: &SmokeOutcome) -> Json {
-    let cases: BTreeMap<String, Json> = outcome
-        .cases
-        .iter()
-        .map(|c| {
-            (
-                c.name.to_string(),
-                Json::obj([
-                    (
-                        "error_pct".to_string(),
-                        // 6 decimals: stable under text round-trip, far finer
-                        // than the gate's tolerance.
-                        Json::Num((c.error_pct * 1e6).round() / 1e6),
-                    ),
-                    ("support_size".to_string(), Json::Num(c.support_size as f64)),
-                ]),
-            )
-        })
-        .collect();
-    let recovery: BTreeMap<String, Json> = outcome
-        .recovery
-        .iter()
-        .map(|(&name, &count)| (name.to_string(), Json::Num(count as f64)))
-        .collect();
-    Json::obj([
-        ("schema".to_string(), Json::Str(ACCURACY_SCHEMA.to_string())),
-        ("host".to_string(), cbmf_trace::report::host_meta()),
-        ("cases".to_string(), Json::Obj(cases)),
-        ("recovery".to_string(), Json::Obj(recovery)),
-    ])
-}
-
-/// Validates the fixed skeleton of an accuracy report. Returns a
-/// human-readable reason on failure.
-pub fn validate_accuracy_report(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == ACCURACY_SCHEMA => {}
-        Some(s) => return Err(format!("schema '{s}' != '{ACCURACY_SCHEMA}'")),
-        None => return Err("missing 'schema' field".to_string()),
+/// Renders smoke results as an `accuracy` report: per case a `drift` error
+/// row (6 decimals: stable under text round-trip, far finer than the
+/// gate's tolerance) and an `exact` support-size row — the fits are
+/// bitwise deterministic, so a support change is a real behavioral change
+/// — plus a `ceiling` row per recovery counter. The fits take no timing,
+/// so the report carries no calibration.
+pub fn report(outcome: &SmokeOutcome) -> Report {
+    let mut out = Report::new("accuracy", None);
+    for c in &outcome.cases {
+        let error = (c.error_pct * 1e6).round() / 1e6;
+        out.push(format!("{}.error_pct", c.name), error, "%", Rule::Drift);
+        out.push(
+            format!("{}.support_size", c.name),
+            c.support_size as f64,
+            "count",
+            Rule::Exact,
+        );
     }
-    let cases = doc
-        .get("cases")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'cases' object")?;
-    if cases.is_empty() {
-        return Err("empty 'cases' object".to_string());
+    for (&name, &count) in &outcome.recovery {
+        out.push(name, count as f64, "count", Rule::Ceiling);
     }
-    for (name, c) in cases {
-        match c.get("error_pct").and_then(Json::as_f64) {
-            Some(e) if e.is_finite() && e >= 0.0 => {}
-            _ => return Err(format!("case '{name}': bad 'error_pct'")),
-        }
-        if c.get("support_size").and_then(Json::as_u64).is_none() {
-            return Err(format!("case '{name}': bad 'support_size'"));
-        }
-    }
-    let recovery = doc
-        .get("recovery")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'recovery' object")?;
-    for name in RECOVERY_COUNTERS {
-        if recovery.get(name).and_then(Json::as_u64).is_none() {
-            return Err(format!("recovery: bad or missing counter '{name}'"));
-        }
-    }
-    Ok(())
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::baseline_path;
 
-    #[test]
-    fn rendered_report_validates_and_round_trips() {
-        let outcome = SmokeOutcome {
+    fn outcome() -> SmokeOutcome {
+        SmokeOutcome {
             cases: vec![
                 SmokeCase {
                     name: "synthetic_linear",
@@ -230,77 +182,51 @@ mod tests {
                 },
             ],
             recovery: RECOVERY_COUNTERS.iter().map(|&n| (n, 0)).collect(),
-        };
-        let doc = render_accuracy_report(&outcome);
-        validate_accuracy_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.to_pretty()).unwrap();
-        assert_eq!(parsed, doc);
-        let got = parsed
-            .get("cases")
-            .unwrap()
-            .get("synthetic_linear")
-            .unwrap()
-            .get("error_pct")
-            .unwrap()
-            .as_f64()
-            .unwrap();
+        }
+    }
+
+    #[test]
+    fn rendered_report_validates_and_round_trips() {
+        let doc = report(&outcome());
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        let got = doc.value("synthetic_linear.error_pct").unwrap();
         assert!((got - 2.345679).abs() < 1e-12, "rounded to 6 decimals");
+        for name in RECOVERY_COUNTERS {
+            assert_eq!(doc.row(name).unwrap().rule, Rule::Ceiling);
+        }
     }
 
     #[test]
     fn validation_rejects_malformed_reports() {
-        assert!(validate_accuracy_report(&Json::Null).is_err());
-        // The previous schema generation is rejected by name.
-        let doc = Json::parse(r#"{"schema": "cbmf-accuracy-smoke/1", "cases": {}}"#).unwrap();
-        assert!(validate_accuracy_report(&doc)
-            .unwrap_err()
-            .contains("schema"));
-        let doc = Json::parse(r#"{"schema": "cbmf-accuracy-smoke/2", "cases": {}}"#).unwrap();
-        assert!(validate_accuracy_report(&doc)
-            .unwrap_err()
-            .contains("empty"));
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-accuracy-smoke/2",
-                "cases": {"x": {"error_pct": -1, "support_size": 2}}}"#,
-        )
-        .unwrap();
-        assert!(validate_accuracy_report(&doc)
-            .unwrap_err()
-            .contains("error_pct"));
-        // A report without the recovery counters is incomplete.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-accuracy-smoke/2",
-                "cases": {"x": {"error_pct": 1.5, "support_size": 2}}}"#,
-        )
-        .unwrap();
-        assert!(validate_accuracy_report(&doc)
-            .unwrap_err()
-            .contains("recovery"));
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-accuracy-smoke/2",
-                "cases": {"x": {"error_pct": 1.5, "support_size": 2}},
-                "recovery": {"recovery.jitter_retries": 0}}"#,
-        )
-        .unwrap();
-        assert!(validate_accuracy_report(&doc)
-            .unwrap_err()
-            .contains("recovery.fallback"));
+        let text = report(&outcome()).render();
+        assert!(Report::parse(&text).is_ok());
+        let non_numeric = text.replacen("\"value\":8}", "\"value\":\"8\"}", 1);
+        assert!(Report::parse(&non_numeric).unwrap_err().contains("value"));
+        let no_bench = text.replacen("\"bench\": \"accuracy\",\n", "", 1);
+        assert!(Report::parse(&no_bench).unwrap_err().contains("bench"));
+        let no_host = text.replacen("\"host\": {", "\"host\": [{", 1).replacen(
+            "},\n  \"rows\"",
+            "}],\n  \"rows\"",
+            1,
+        );
+        assert!(Report::parse(&no_host).unwrap_err().contains("host"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, and in
-    /// canonical sorted-key form. A failure means `BASELINE_accuracy.json`
-    /// needs regenerating via `cargo run --release -p cbmf-bench --bin
-    /// ci_gate -- --write-accuracy-baseline`.
+    /// The committed baseline must parse, pin every recovery counter, and
+    /// be in canonical form. A failure means `BASELINE_accuracy.json` needs
+    /// regenerating via `cargo run --release -p cbmf-bench --bin ci_gate --
+    /// --write-baseline accuracy`.
     #[test]
     fn committed_accuracy_baseline_is_schema_stable() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BASELINE_accuracy.json");
-        let text = std::fs::read_to_string(path).expect("read BASELINE_accuracy.json");
-        let doc = Json::parse(&text).expect("parse BASELINE_accuracy.json");
-        validate_accuracy_report(&doc).expect("valid accuracy report");
+        let text = std::fs::read_to_string(baseline_path("accuracy")).unwrap();
+        let doc = Report::parse(&text).unwrap();
+        for name in RECOVERY_COUNTERS {
+            assert_eq!(doc.row(name).map(|r| r.rule), Some(Rule::Ceiling), "{name}");
+        }
         assert_eq!(
+            doc.render(),
             text,
-            format!("{}\n", doc.to_pretty()),
-            "BASELINE_accuracy.json is not in canonical sorted-key form"
+            "BASELINE_accuracy.json is not canonical"
         );
     }
 }

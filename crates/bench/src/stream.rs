@@ -9,12 +9,11 @@
 //! batch model at the full budget, then streams chunks of the *byte-identical*
 //! sample stream (`McStream` shares the batch collector's seeding) until the
 //! held-out error reaches the batch fit's accuracy, and reports the
-//! simulations actually consumed next to the batch budget. `gate_stream`
-//! enforces a savings floor on the committed document — streaming must reach
-//! batch accuracy on at least [`MIN_SAVED_CIRCUITS`] circuits with at least
-//! [`MIN_SAVED_PCT`] percent fewer simulations — plus exact parity of a
-//! full-budget one-chunk streaming fit with the batch fit (bitwise, checked
-//! per run and recorded as `full_stream_bitwise`).
+//! simulations actually consumed next to the batch budget. The report
+//! carries a savings `floor` — streaming must reach batch accuracy on at
+//! least [`MIN_SAVED_CIRCUITS`] circuits with at least [`MIN_SAVED_PCT`]
+//! percent fewer simulations — plus one `bitwise` row per circuit: a
+//! full-budget one-chunk streaming fit reproduced the batch fit exactly.
 //!
 //! Every fit is seeded and bitwise deterministic at any thread count, so all
 //! accuracy and sample-count cells are byte-stable: regenerating on any host
@@ -22,21 +21,11 @@
 //! chunk-refit times (the warm-start payoff) are printed to the nightly log
 //! only, never written into the document.
 
-use std::collections::BTreeMap;
+use cbmf::{BasisSpec, FitOutcome, StreamConfig, StreamingFit};
+use cbmf_circuits::{Lna, McStream, Mixer, MonteCarlo, SimCostModel, Testbench, Vco};
 
-use cbmf::{
-    BasisSpec, CandidateGrid, CbmfConfig, CbmfFit, EmConfig, FitOutcome, StreamConfig,
-    StreamingFit, TunableProblem,
-};
-use cbmf_circuits::{
-    Lna, McStream, Mixer, MonteCarlo, SimCostModel, Testbench, TunableDataset, Vco,
-};
-use cbmf_trace::Json;
-
-use crate::kernels::{host_with_isa, Calibration};
-
-/// Schema identifier of `BENCH_stream.json`.
-pub const STREAM_SCHEMA: &str = "cbmf-bench-stream/1";
+use crate::gate::{Report, Rule};
+use crate::kernels::Calibration;
 
 /// Circuit examples of the sweep, in report order (same roster as the
 /// backends suite).
@@ -111,56 +100,11 @@ pub struct StreamCircuit {
     /// Whether a one-chunk full-budget streaming fit reproduced the batch
     /// fit bitwise (coefficients, intercepts, support).
     pub full_stream_bitwise: bool,
-    /// Wall-clock seconds of each chunk's refit (cold chunk 0 first) —
-    /// printed to the log, never written into the document.
+    /// Wall-clock seconds of each chunk's refit (cold chunk 0 first) — in
+    /// the markdown table, never in the report.
     pub chunk_fit_seconds: Vec<f64>,
-    /// Wall-clock seconds of the full-budget batch fit — log only.
+    /// Wall-clock seconds of the full-budget batch fit — table only.
     pub batch_fit_seconds: f64,
-}
-
-/// The CI-speed C-BMF configuration shared with the backends suite (and
-/// `fit_fleet`): reduced grid and short EM for the 6-state × 40-variable
-/// circuit problems.
-pub fn reduced_cbmf() -> CbmfFit {
-    let mut cfg = CbmfConfig::small_problem();
-    cfg.grid = CandidateGrid {
-        theta: vec![4, 8],
-        ..cfg.grid
-    };
-    cfg.em = EmConfig {
-        max_iters: 5,
-        ..cfg.em
-    };
-    CbmfFit::new(cfg)
-}
-
-/// Reduces a collected dataset to the suite's problem size (at most 6
-/// states, 40 variables — the `fit_fleet` reduction) and projects out one
-/// metric, returning the per-state raw samples.
-fn reduced_samples(
-    ds: &TunableDataset,
-    metric: usize,
-) -> (Vec<cbmf_linalg::Matrix>, Vec<Vec<f64>>) {
-    let keep_states = ds.states.len().min(6);
-    let keep_vars = 40;
-    let xs: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.x.block(0, s.x.rows(), 0, keep_vars.min(s.x.cols())))
-        .collect();
-    let ys: Vec<_> = ds
-        .states
-        .iter()
-        .take(keep_states)
-        .map(|s| s.metric(metric))
-        .collect();
-    (xs, ys)
-}
-
-fn reduced_problem(ds: &TunableDataset, metric: usize) -> TunableProblem {
-    let (xs, ys) = reduced_samples(ds, metric);
-    TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).expect("well-formed dataset")
 }
 
 fn bitwise_equal(a: &FitOutcome, b: &FitOutcome) -> bool {
@@ -193,7 +137,7 @@ fn sweep_circuit<T: Testbench + Sync>(
     let test_ds = MonteCarlo::new(TEST_PER_STATE)
         .collect(tb, &mut cbmf_stats::seeded_rng(seed))
         .expect("test collection");
-    let test = reduced_problem(&test_ds, metric);
+    let test = crate::reduced_problem(&test_ds, metric);
     let kept_states = test_ds.states.len().min(6);
 
     // Batch fit at the full budget. The training stream's base seed comes
@@ -202,8 +146,8 @@ fn sweep_circuit<T: Testbench + Sync>(
     let train_ds = MonteCarlo::new(FULL_PER_STATE)
         .collect(tb, &mut cbmf_stats::seeded_rng(seed ^ 0x7EA1))
         .expect("train collection");
-    let train = reduced_problem(&train_ds, metric);
-    let fitter = reduced_cbmf();
+    let train = crate::reduced_problem(&train_ds, metric);
+    let fitter = crate::reduced_cbmf();
     let batch = fitter
         .fit(&train, &mut cbmf_stats::seeded_rng(seed ^ 0xF17))
         .expect("batch fit");
@@ -239,7 +183,7 @@ fn sweep_circuit<T: Testbench + Sync>(
         };
         let take = next.min(FULL_PER_STATE - mc.collected_per_state());
         let ds = mc.next_chunk(take).expect("chunk collection");
-        let (xs, ys) = reduced_samples(&ds, metric);
+        let (xs, ys) = crate::reduced_samples(&ds, metric);
         let outcome = session
             .absorb(&xs, &ys, &mut cbmf_stats::seeded_rng(seed ^ 0xC0DE ^ chunk))
             .expect("stream refit");
@@ -258,7 +202,7 @@ fn sweep_circuit<T: Testbench + Sync>(
     // batch fit exactly (same virtual samples, same fit seed).
     let mut mc_full = McStream::new(tb, &mut cbmf_stats::seeded_rng(seed ^ 0x7EA1));
     let full_ds = mc_full.next_chunk(FULL_PER_STATE).expect("full collection");
-    let (xs, ys) = reduced_samples(&full_ds, metric);
+    let (xs, ys) = crate::reduced_samples(&full_ds, metric);
     let mut one_chunk = engine.session(BasisSpec::Linear);
     one_chunk
         .absorb(&xs, &ys, &mut cbmf_stats::seeded_rng(seed ^ 0xF17))
@@ -291,7 +235,7 @@ fn sweep_circuit<T: Testbench + Sync>(
 ///
 /// Panics on fitting or simulation failure — inputs are generated here and
 /// must be valid, so a failure is a harness bug.
-pub fn run_stream_suite(report: impl Fn(&StreamCircuit)) -> Vec<StreamCircuit> {
+pub fn run_stream_suite() -> Vec<StreamCircuit> {
     let lna = Lna::new();
     let mixer = Mixer::new();
     let vco = Vco::new();
@@ -299,242 +243,146 @@ pub fn run_stream_suite(report: impl Fn(&StreamCircuit)) -> Vec<StreamCircuit> {
     // paper-calibrated per-sample cost, 30 s/sample is the documented
     // stand-in.
     let vco_cost = SimCostModel::new(30.0);
-    let sweeps = vec![
+    vec![
         sweep_circuit("lna", &lna, 1, SimCostModel::lna_paper(), 3100),
         sweep_circuit("mixer", &mixer, 1, SimCostModel::mixer_paper(), 3101),
         sweep_circuit("vco", &vco, 0, vco_cost, 3102),
         // The yield-estimation example thresholds the LNA noise figure.
         sweep_circuit("yield", &lna, 0, SimCostModel::lna_paper(), 3103),
-    ];
-    for s in &sweeps {
-        report(s);
-    }
-    sweeps
+    ]
 }
 
 fn round6(v: f64) -> f64 {
     (v * 1e6).round() / 1e6
 }
 
-/// Renders suite results as a schema-versioned, sorted-key document — the
-/// exact layout of the committed `BENCH_stream.json`.
-pub fn render_stream_report(sweeps: &[StreamCircuit], calibration: Calibration) -> Json {
-    let circuits: BTreeMap<String, Json> = sweeps
-        .iter()
-        .map(|s| {
+/// Id of the savings-floor row.
+pub fn saving_floor_id() -> String {
+    format!("circuits_saving_{MIN_SAVED_PCT}pct")
+}
+
+/// Renders suite results as a `stream` report: per circuit the batch and
+/// stream errors (`drift`), support sizes and sample counts (`exact` — the
+/// fits and the chunk schedule are deterministic) and the one-chunk parity
+/// flag (`bitwise`), plus the savings `floor` over all circuits.
+pub fn report(sweeps: &[StreamCircuit], calibration: Calibration) -> Report {
+    let mut out = Report::new("stream", Some(calibration));
+    let config = [
+        ("first_per_state", FIRST_PER_STATE as f64, "count"),
+        ("chunk_per_state", CHUNK_PER_STATE as f64, "count"),
+        ("full_per_state", FULL_PER_STATE as f64, "count"),
+        ("target_rel_slack", TARGET_REL_SLACK, "x"),
+        ("target_abs_slack", TARGET_ABS_SLACK, "%"),
+    ];
+    for (id, v, unit) in config {
+        out.info(id, v, unit);
+    }
+    let flag = |b: bool| if b { 1.0 } else { 0.0 };
+    for s in sweeps {
+        let c = s.circuit;
+        for (path, err, support, samples, hours) in [
             (
-                s.circuit.to_string(),
-                Json::obj([
-                    ("metric".to_string(), Json::Str(s.metric.to_string())),
-                    (
-                        "batch".to_string(),
-                        Json::obj([
-                            (
-                                "error_pct".to_string(),
-                                Json::Num(round6(s.batch_error_pct)),
-                            ),
-                            (
-                                "support_size".to_string(),
-                                Json::Num(s.batch_support as f64),
-                            ),
-                            (
-                                "total_samples".to_string(),
-                                Json::Num(s.batch_samples as f64),
-                            ),
-                            (
-                                "sim_hours".to_string(),
-                                Json::Num(round6(s.batch_sim_hours)),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "stream".to_string(),
-                        Json::obj([
-                            (
-                                "error_pct".to_string(),
-                                Json::Num(round6(s.stream_error_pct)),
-                            ),
-                            (
-                                "support_size".to_string(),
-                                Json::Num(s.stream_support as f64),
-                            ),
-                            (
-                                "total_samples".to_string(),
-                                Json::Num(s.stream_samples as f64),
-                            ),
-                            (
-                                "sim_hours".to_string(),
-                                Json::Num(round6(s.stream_sim_hours)),
-                            ),
-                            ("chunks".to_string(), Json::Num(s.stream_chunks as f64)),
-                            ("reached_target".to_string(), Json::Bool(s.reached_target)),
-                            ("saved_pct".to_string(), Json::Num(round6(s.saved_pct))),
-                        ]),
-                    ),
-                    (
-                        "full_stream_bitwise".to_string(),
-                        Json::Bool(s.full_stream_bitwise),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    Json::obj([
-        ("schema".to_string(), Json::Str(STREAM_SCHEMA.to_string())),
-        (
-            "calibration_ns".to_string(),
-            Json::Num(calibration.cache_ns as f64),
-        ),
-        (
-            "calibration_dram_ns".to_string(),
-            Json::Num(calibration.dram_ns as f64),
-        ),
-        ("host".to_string(), host_with_isa()),
-        (
-            "first_per_state".to_string(),
-            Json::Num(FIRST_PER_STATE as f64),
-        ),
-        (
-            "chunk_per_state".to_string(),
-            Json::Num(CHUNK_PER_STATE as f64),
-        ),
-        (
-            "full_per_state".to_string(),
-            Json::Num(FULL_PER_STATE as f64),
-        ),
-        ("target_rel_slack".to_string(), Json::Num(TARGET_REL_SLACK)),
-        ("target_abs_slack".to_string(), Json::Num(TARGET_ABS_SLACK)),
-        ("circuits".to_string(), Json::Obj(circuits)),
-    ])
-}
-
-fn as_bool(v: &Json) -> Option<bool> {
-    match v {
-        Json::Bool(b) => Some(*b),
-        _ => None,
+                "batch",
+                s.batch_error_pct,
+                s.batch_support,
+                s.batch_samples,
+                s.batch_sim_hours,
+            ),
+            (
+                "stream",
+                s.stream_error_pct,
+                s.stream_support,
+                s.stream_samples,
+                s.stream_sim_hours,
+            ),
+        ] {
+            out.push(
+                format!("{c}.{path}.error_pct"),
+                round6(err),
+                "%",
+                Rule::Drift,
+            );
+            out.push(
+                format!("{c}.{path}.support_size"),
+                support as f64,
+                "count",
+                Rule::Exact,
+            );
+            out.push(
+                format!("{c}.{path}.total_samples"),
+                samples as f64,
+                "count",
+                Rule::Exact,
+            );
+            out.info(format!("{c}.{path}.sim_hours"), round6(hours), "h");
+        }
+        out.info(
+            format!("{c}.stream.chunks"),
+            s.stream_chunks as f64,
+            "count",
+        );
+        out.info(
+            format!("{c}.stream.reached_target"),
+            flag(s.reached_target),
+            "bool",
+        );
+        out.info(format!("{c}.stream.saved_pct"), round6(s.saved_pct), "%");
+        out.push(
+            format!("{c}.full_stream_bitwise"),
+            flag(s.full_stream_bitwise),
+            "bool",
+            Rule::Bitwise,
+        );
     }
-}
-
-/// Validates the fixed skeleton of a stream report: schema string, positive
-/// calibrations, host object, and a non-empty circuit map whose entries
-/// carry complete batch/stream sections and the bitwise-parity flag.
-pub fn validate_stream_report(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == STREAM_SCHEMA => {}
-        Some(s) => return Err(format!("schema '{s}' != '{STREAM_SCHEMA}'")),
-        None => return Err("missing 'schema' field".to_string()),
-    }
-    for cal in ["calibration_ns", "calibration_dram_ns"] {
-        match doc.get(cal).and_then(Json::as_f64) {
-            Some(c) if c > 0.0 => {}
-            _ => return Err(format!("missing or non-positive '{cal}'")),
-        }
-    }
-    if doc.get("host").and_then(Json::as_obj).is_none() {
-        return Err("missing 'host' object".to_string());
-    }
-    for field in ["first_per_state", "chunk_per_state", "full_per_state"] {
-        match doc.get(field).and_then(Json::as_u64) {
-            Some(v) if v > 0 => {}
-            _ => return Err(format!("missing or non-positive '{field}'")),
-        }
-    }
-    let circuits = doc
-        .get("circuits")
-        .and_then(Json::as_obj)
-        .ok_or("missing 'circuits' object")?;
-    if circuits.is_empty() {
-        return Err("empty 'circuits' object".to_string());
-    }
-    for (cname, c) in circuits {
-        if c.get("metric").and_then(Json::as_str).is_none() {
-            return Err(format!("circuit '{cname}': missing 'metric'"));
-        }
-        for section in ["batch", "stream"] {
-            let s = c
-                .get(section)
-                .and_then(Json::as_obj)
-                .ok_or_else(|| format!("circuit '{cname}': missing '{section}' object"))?;
-            match s.get("error_pct").and_then(Json::as_f64) {
-                Some(e) if e.is_finite() && e >= 0.0 => {}
-                _ => return Err(format!("{cname}/{section}: bad 'error_pct'")),
-            }
-            for field in ["support_size", "total_samples"] {
-                match s.get(field).and_then(Json::as_u64) {
-                    Some(v) if v > 0 => {}
-                    _ => return Err(format!("{cname}/{section}: bad '{field}'")),
-                }
-            }
-            match s.get("sim_hours").and_then(Json::as_f64) {
-                Some(v) if v.is_finite() && v > 0.0 => {}
-                _ => return Err(format!("{cname}/{section}: bad 'sim_hours'")),
-            }
-        }
-        let stream = c.get("stream").expect("checked above");
-        if stream.get("chunks").and_then(Json::as_u64).is_none() {
-            return Err(format!("circuit '{cname}': bad 'stream.chunks'"));
-        }
-        if stream.get("reached_target").and_then(as_bool).is_none() {
-            return Err(format!("circuit '{cname}': bad 'stream.reached_target'"));
-        }
-        match stream.get("saved_pct").and_then(Json::as_f64) {
-            Some(v) if v.is_finite() => {}
-            _ => return Err(format!("circuit '{cname}': bad 'stream.saved_pct'")),
-        }
-        if c.get("full_stream_bitwise").and_then(as_bool).is_none() {
-            return Err(format!("circuit '{cname}': bad 'full_stream_bitwise'"));
-        }
-    }
-    Ok(())
+    let saving = sweeps
+        .iter()
+        .filter(|s| s.reached_target && round6(s.saved_pct) >= MIN_SAVED_PCT)
+        .count();
+    out.push(saving_floor_id(), saving as f64, "count", Rule::Floor)
+        .limit(MIN_SAVED_CIRCUITS as f64);
+    out
 }
 
 /// Renders the streaming-vs-batch comparison as a markdown table (the
 /// nightly job appends it to `$GITHUB_STEP_SUMMARY`).
-///
-/// # Errors
-///
-/// Returns a reason string when the document fails schema validation.
-pub fn render_stream_markdown(doc: &Json) -> Result<String, String> {
-    validate_stream_report(doc)?;
-    let circuits = doc.get("circuits").and_then(Json::as_obj).unwrap();
+pub fn markdown(sweeps: &[StreamCircuit]) -> String {
     let mut out = String::from("## Streaming vs batch simulation cost\n\n");
     out.push_str(
         "| circuit | metric | batch err % | stream err % | batch sims | stream sims \
-         | saved % | chunks | bitwise |\n",
+         | saved % | chunks | bitwise | cold fit s | mean warm refit s | batch fit s |\n",
     );
     out.push_str(
         "|---------|--------|------------:|-------------:|-----------:|------------:\
-         |--------:|-------:|:-------:|\n",
+         |--------:|-------:|:-------:|-----------:|------------------:|------------:|\n",
     );
-    for name in CIRCUIT_NAMES {
-        let Some(c) = circuits.get(name) else {
-            continue;
-        };
-        let metric = c.get("metric").and_then(Json::as_str).unwrap();
-        let num = |section: &str, field: &str| {
-            c.get(section)
-                .and_then(|s| s.get(field))
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        let bitwise = c.get("full_stream_bitwise").and_then(as_bool).unwrap();
+    for s in sweeps {
+        // Wall-clock warm-start payoff: table only, never in the report.
+        let warm = &s.chunk_fit_seconds[1.min(s.chunk_fit_seconds.len())..];
+        let mean_warm = warm.iter().sum::<f64>() / warm.len().max(1) as f64;
         out.push_str(&format!(
-            "| {name} | {metric} | {:.3} | {:.3} | {:.0} | {:.0} | {:.1} | {:.0} | {} |\n",
-            num("batch", "error_pct"),
-            num("stream", "error_pct"),
-            num("batch", "total_samples"),
-            num("stream", "total_samples"),
-            num("stream", "saved_pct"),
-            num("stream", "chunks"),
-            if bitwise { "✅" } else { "❌" },
+            "| {} | {} | {:.3} | {:.3} | {} | {} | {:.1} | {} | {} | {:.3} | {:.3} | {:.3} |\n",
+            s.circuit,
+            s.metric,
+            s.batch_error_pct,
+            s.stream_error_pct,
+            s.batch_samples,
+            s.stream_samples,
+            s.saved_pct,
+            s.stream_chunks,
+            if s.full_stream_bitwise { "✅" } else { "❌" },
+            s.chunk_fit_seconds.first().copied().unwrap_or(0.0),
+            mean_warm,
+            s.batch_fit_seconds,
         ));
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{baseline_path, gate, DEFAULT_TOL};
+    use crate::kernels::cal;
 
     fn toy_sweep(saved_pct: f64, reached: bool, bitwise: bool) -> StreamCircuit {
         StreamCircuit {
@@ -557,90 +405,55 @@ mod tests {
         }
     }
 
-    fn toy_calibration() -> Calibration {
-        Calibration {
-            cache_ns: 1000,
-            dram_ns: 2000,
-        }
-    }
-
     #[test]
     fn rendered_report_validates_and_round_trips() {
-        let doc = render_stream_report(&[toy_sweep(40.0, true, true)], toy_calibration());
-        validate_stream_report(&doc).unwrap();
-        let parsed = Json::parse(&doc.to_pretty()).unwrap();
-        assert_eq!(parsed, doc);
-        let saved = parsed
-            .get("circuits")
-            .unwrap()
-            .get("lna")
-            .unwrap()
-            .get("stream")
-            .unwrap()
-            .get("saved_pct")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((saved - 40.0).abs() < 1e-12);
+        let mixer = StreamCircuit {
+            circuit: "mixer",
+            ..toy_sweep(20.0, true, false)
+        };
+        let sweeps = [toy_sweep(40.0, true, true), mixer];
+        let doc = report(&sweeps, cal(1000, 2000));
+        assert_eq!(Report::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(doc.value("lna.stream.saved_pct"), Some(40.0));
+        assert_eq!(
+            doc.value(&saving_floor_id()),
+            Some(1.0),
+            "only ≥25% savings count"
+        );
+        assert_eq!(doc.row(&saving_floor_id()).unwrap().limit, Some(3.0));
     }
 
     #[test]
     fn markdown_table_carries_the_headline_numbers() {
-        let doc = render_stream_report(&[toy_sweep(40.0, true, true)], toy_calibration());
-        let md = render_stream_markdown(&doc).unwrap();
+        let md = markdown(&[toy_sweep(40.0, true, true)]);
         assert!(md.contains("| lna | vg_db | 1.250 | 1.300 | 84 | 50 | 40.0 | 5 | ✅ |"));
     }
 
     #[test]
     fn validation_rejects_malformed_reports() {
-        assert!(validate_stream_report(&Json::Null).is_err());
-        let doc = Json::parse(r#"{"schema": "cbmf-bench-stream/9"}"#).unwrap();
-        assert!(validate_stream_report(&doc).unwrap_err().contains("schema"));
-        // A circuit without the bitwise-parity flag is incomplete.
-        let doc = Json::parse(
-            r#"{"schema": "cbmf-bench-stream/1", "calibration_ns": 1,
-                "calibration_dram_ns": 1, "host": {"threads": 1},
-                "first_per_state": 6, "chunk_per_state": 2, "full_per_state": 14,
-                "target_rel_slack": 0.05, "target_abs_slack": 0.01,
-                "circuits": {"lna": {"metric": "vg_db",
-                  "batch": {"error_pct": 1.0, "support_size": 8,
-                            "total_samples": 84, "sim_hours": 0.2},
-                  "stream": {"error_pct": 1.1, "support_size": 8,
-                             "total_samples": 48, "sim_hours": 0.1,
-                             "chunks": 4, "reached_target": true,
-                             "saved_pct": 42.9}}}}"#,
-        )
-        .unwrap();
-        assert!(validate_stream_report(&doc)
+        let text = report(&[toy_sweep(40.0, true, true)], cal(1000, 2000)).render();
+        assert!(Report::parse(&text).is_ok());
+        // The parity flag must name a known rule.
+        let bad = text.replacen("\"rule\":\"bitwise\"", "\"rule\":\"bitwise_eq\"", 1);
+        assert!(Report::parse(&bad)
             .unwrap_err()
             .contains("full_stream_bitwise"));
     }
 
-    /// The committed baseline must stay parseable, schema-valid, in
-    /// canonical sorted-key form, and self-consistent under the stream gate
-    /// — including the savings floor and bitwise parity. A failure means
-    /// `BENCH_stream.json` needs regenerating via `cargo run --release -p
-    /// cbmf-bench --bin bench_stream`.
+    /// The committed baseline must parse, cover every circuit, be in
+    /// canonical form, and pass the gate against itself — including the
+    /// savings floor and bitwise parity. A failure means `BENCH_stream.json`
+    /// needs regenerating via `ci_gate --write-baseline stream`.
     #[test]
     fn committed_stream_baseline_is_schema_stable_and_saves_sims() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_stream.json");
-        let doc = Json::parse(&text).expect("parse BENCH_stream.json");
-        validate_stream_report(&doc).expect("valid stream report");
-        assert_eq!(
-            text,
-            format!("{}\n", doc.to_pretty()),
-            "BENCH_stream.json is not in canonical sorted-key form"
-        );
-        let circuits = doc.get("circuits").and_then(Json::as_obj).unwrap();
+        let text = std::fs::read_to_string(baseline_path("stream")).unwrap();
+        let doc = Report::parse(&text).unwrap();
+        assert_eq!(doc.render(), text, "BENCH_stream.json is not canonical");
         for name in CIRCUIT_NAMES {
-            assert!(circuits.contains_key(name), "circuit '{name}' missing");
+            let id = format!("{name}.full_stream_bitwise");
+            assert_eq!(doc.value(&id), Some(1.0), "{id}");
         }
-        // Gating the baseline against itself checks the drift rows
-        // (trivially) plus the savings floor and bitwise parity
-        // (non-trivially).
-        let outcome = crate::gate::gate_stream(&doc, &doc, crate::gate::DEFAULT_TOL)
-            .expect("gateable baseline");
+        let outcome = gate(&doc, &doc, DEFAULT_TOL).unwrap();
         assert!(
             outcome.passed(),
             "committed baseline violates the gate: {:?}",

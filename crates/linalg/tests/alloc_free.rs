@@ -6,13 +6,19 @@
 //! prediction hot loops allocation-free.
 //!
 //! Proven with a counting global allocator (the same technique as the
-//! trace crate's disabled-fast-path test), not asserted by inspection.
+//! trace crate's disabled-fast-path test), not asserted by inspection. The
+//! binary runs without libtest (`harness = false`) so that no test-runner
+//! thread allocates while the counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use cbmf_linalg::block::{with_config, BlockConfig};
 use cbmf_linalg::Matrix;
+
+#[path = "../../trace/tests/support/serial_harness.rs"]
+mod serial_harness;
 
 /// Counts heap allocations while `ARMED` is set; delegates to the system
 /// allocator either way.
@@ -47,7 +53,6 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-#[test]
 fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {
     let cfg = BlockConfig {
         min_macs: 0, // force the blocked path regardless of size
@@ -88,7 +93,6 @@ fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {
 /// The streaming (sub-threshold) kernels share the contract on their
 /// `_into` variants: small products in the EM inner loop reuse caller
 /// buffers with no per-call allocation either.
-#[test]
 fn streaming_into_kernels_allocate_nothing() {
     let a = Matrix::from_fn(24, 16, |i, j| ((i * 3 + j) % 7) as f64 - 3.0);
     let b = Matrix::from_fn(16, 20, |i, j| ((i + j * 5) % 11) as f64 - 5.0);
@@ -103,4 +107,17 @@ fn streaming_into_kernels_allocate_nothing() {
         });
         assert_eq!(count, 0, "streaming _into kernels must not allocate");
     });
+}
+
+fn main() -> ExitCode {
+    serial_harness::run(&[
+        (
+            "blocked_gemm_and_syrk_allocate_nothing_in_steady_state",
+            blocked_gemm_and_syrk_allocate_nothing_in_steady_state,
+        ),
+        (
+            "streaming_into_kernels_allocate_nothing",
+            streaming_into_kernels_allocate_nothing,
+        ),
+    ])
 }

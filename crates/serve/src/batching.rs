@@ -56,7 +56,7 @@ pub const DEFAULT_DEADLINE_US: u64 = 100;
 /// Default bounded queue depth (pending submissions before `Overloaded`).
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
-/// Once-per-process `CBMF_SERVE_*` resolution, like `fuse_default` /
+/// Once-per-process `CBMF_SERVE_*` resolution, like `CBMF_SIMD_ISA` /
 /// `CBMF_BLOCK_*`: the first reader fixes the values for the process.
 fn env_defaults() -> (usize, u64, usize) {
     static DEFAULTS: OnceLock<(usize, u64, usize)> = OnceLock::new();
@@ -542,17 +542,29 @@ mod tests {
         assert_eq!(stats.batches, 16);
     }
 
+    /// Spins until `cond` holds, failing the test after ten seconds instead
+    /// of hanging it when the awaited event never comes.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn depth_bound_rejects_with_overloaded() {
-        // An evaluator that blocks until released, so the queue backs up
-        // deterministically.
+        // An evaluator that signals entry, then blocks until released, so
+        // the queue backs up deterministically.
+        let entered = Arc::new(AtomicBool::new(false));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let gate_w = Arc::clone(&gate);
+        let (entered_w, gate_w) = (Arc::clone(&entered), Arc::clone(&gate));
         let cfg = BatchConfig::from_env()
             .with_max_batch(1)
             .with_deadline(Duration::ZERO)
             .with_queue_depth(2);
         let q = Arc::new(BatchQueue::with_eval(cfg, 1, move |xs| {
+            entered_w.store(true, Ordering::SeqCst);
             let (lock, cv) = &*gate_w;
             let mut open = lock.lock().unwrap();
             while !*open {
@@ -561,21 +573,19 @@ mod tests {
             let (n, _) = xs.shape();
             Ok(Matrix::from_fn(n, 1, |i, _| xs[(i, 0)]))
         }));
-        // First submission is picked up by the worker (and blocks in eval);
-        // the next two fill the depth-2 queue; the one after must bounce.
-        let mut handles = Vec::new();
-        for i in 0..3 {
+        let submit = |i: usize| {
             let qs = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || qs.submit(&[i as f64])));
-            // Wait until this submission is actually parked (in the queue or
-            // claimed by the worker) before issuing the next.
-            while q.stats().submitted < i + 1 {
-                std::thread::yield_now();
-            }
-        }
-        // Give the worker time to claim the first sample so the queue holds
-        // exactly two pending entries.
-        std::thread::sleep(Duration::from_millis(20));
+            std::thread::spawn(move || qs.submit(&[i as f64]))
+        };
+        // The first submission is claimed by the worker and blocks in eval;
+        // only then do the next two fill the depth-2 queue, and the one
+        // after must bounce.
+        let mut handles = vec![submit(0)];
+        wait_until("the worker to enter eval", || {
+            entered.load(Ordering::SeqCst)
+        });
+        handles.extend([submit(1), submit(2)]);
+        wait_until("two queued submissions", || q.stats().submitted == 3);
         let err = q.submit(&[9.0]).unwrap_err();
         assert_eq!(err, BatchError::Overloaded);
         assert_eq!(q.stats().rejected, 1);

@@ -9,11 +9,7 @@
 //!
 //! # The fused basis → GEMM path
 //!
-//! The historic ("materialized") path evaluates the full basis dictionary
-//! (M values) per sample into pooled scratch, then gathers the |support|
-//! entries each state's coefficient row touches. The fused path (default,
-//! `CBMF_FUSE_PREDICT=0` or [`BatchPredictor::with_fused`] to disable)
-//! instead evaluates **only the support columns** of each tile directly
+//! Each tile evaluates **only the support columns** of its rows directly
 //! into a packed `tile_rows × |support|` panel — the same layout the
 //! blocked GEMM packs its left operand into — and accumulates all K states
 //! from that panel with unit-stride reads and a transposed `|support| × K`
@@ -21,11 +17,8 @@
 //! accumulation is `intercept + Σ_j coeff[j] · b_{support[j]}(x)` in
 //! ascending `j`, the exact operation sequence of
 //! [`PerStateModel::predict_from_basis`], and the support evaluations use
-//! the same expressions as the full dictionary — so fused output is
-//! bitwise identical to the materialized path (and to per-sample
-//! prediction) at any thread count.
-
-use std::sync::OnceLock;
+//! the same expressions as the full dictionary — so the output is bitwise
+//! identical to per-sample [`PerStateModel::predict`] at any thread count.
 
 use cbmf::{PerStateModel, PosteriorPredictive};
 use cbmf_linalg::Matrix;
@@ -40,27 +33,12 @@ static SERVE_PREDICTIONS: Counter = Counter::new("serve.predictions");
 static SERVE_BATCHES: Counter = Counter::new("serve.batches");
 /// Multiply-accumulates performed by the blocked MAP path (N·K·|support|).
 static SERVE_BLOCKED_MACS: Counter = Counter::new("serve.blocked_macs");
-/// Row tiles served through the fused basis→GEMM path.
-static SERVE_FUSED_TILES: Counter = Counter::new("serve.fused_tiles");
 /// Sample count of the most recent batch.
 static SERVE_BATCH_SIZE: Gauge = Gauge::new("serve.batch_size");
 
 /// Default tile height: 64 rows ≈ a few KB of basis evaluations — resident
 /// in L1/L2 while all K states consume them.
 const DEFAULT_TILE_ROWS: usize = 64;
-
-/// Whether the fused path is on by default: `CBMF_FUSE_PREDICT`, read once
-/// per process (same policy as the kernel ISA and thread-count knobs —
-/// `std::env::var` locks and allocates, which the serving hot path must not
-/// pay per batch). Any value other than `0` — including unset — means on.
-fn fuse_default() -> bool {
-    static FUSE: OnceLock<bool> = OnceLock::new();
-    *FUSE.get_or_init(|| {
-        std::env::var("CBMF_FUSE_PREDICT")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
 
 /// A blocked batch evaluator over a fitted model, with an optional exact
 /// uncertainty path when the artifact carried posterior factors.
@@ -69,7 +47,6 @@ pub struct BatchPredictor {
     model: PerStateModel,
     predictive: Option<PosteriorPredictive>,
     tile_rows: usize,
-    fused: bool,
     /// `|support| × K` transpose of the model's coefficient block: entry
     /// `(j, state)` at `j * K + state`, so the fused per-sample loop reads
     /// all states' coefficients for one support column contiguously.
@@ -99,7 +76,6 @@ impl BatchPredictor {
             model,
             predictive: None,
             tile_rows: DEFAULT_TILE_ROWS,
-            fused: fuse_default(),
             coeffs_t,
         }
     }
@@ -122,7 +98,6 @@ impl BatchPredictor {
             model,
             predictive,
             tile_rows: DEFAULT_TILE_ROWS,
-            fused: fuse_default(),
             coeffs_t,
         })
     }
@@ -132,21 +107,6 @@ impl BatchPredictor {
     pub fn with_tile_rows(mut self, rows: usize) -> Self {
         self.tile_rows = rows.max(1);
         self
-    }
-
-    /// Forces the fused basis→GEMM path on or off, overriding the
-    /// process-wide `CBMF_FUSE_PREDICT` default. Both paths return bitwise
-    /// identical results; this exists for benchmarking and CI equivalence
-    /// runs.
-    #[must_use]
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
-        self
-    }
-
-    /// Whether batch mean prediction takes the fused path.
-    pub fn is_fused(&self) -> bool {
-        self.fused
     }
 
     /// The served model.
@@ -185,66 +145,46 @@ impl BatchPredictor {
         SERVE_PREDICTIONS.add((n * k) as u64);
         SERVE_BLOCKED_MACS.add((n * k * support_len) as u64);
 
-        let m = self.model.basis_spec().num_basis(d);
         let spec = self.model.basis_spec();
+        let support = self.model.support();
+        let s = support.len();
+        let intercepts = self.model.intercepts();
+        let tile = self.tile_rows;
         let mut out = Matrix::zeros(n, k);
-        // Workers write their own rows of `out` in place; all scratch is
-        // pooled workspace memory that the evaluators fully overwrite (so
+        // Workers write their own rows of `out` in place; the support panel
+        // is pooled workspace memory that the evaluator fully overwrites (so
         // dirty recycled buffers are safe), leaving the row loop free of
         // heap allocation in steady state.
-        if self.fused {
-            let support = self.model.support();
-            let s = support.len();
-            let intercepts = self.model.intercepts();
-            let tile = self.tile_rows;
-            cbmf_parallel::par_rows_mut(out.as_mut_slice(), k.max(1), tile, |row0, rows| {
-                let mut ws = cbmf_parallel::workspace::acquire();
-                // A packed `tile × s` support panel, same row-major
-                // interleave as the blocked GEMM's left-operand pack.
-                let panel = ws.one(tile * s.max(1));
-                let mut lo = 0;
-                let nrows = rows.len() / k.max(1);
-                while lo < nrows {
-                    let hi = (lo + tile).min(nrows);
-                    for local in lo..hi {
-                        spec.eval_support_into(
-                            xs.row(row0 + local),
-                            support,
-                            &mut panel[(local - lo) * s..(local - lo) * s + s],
-                        );
-                    }
-                    SERVE_FUSED_TILES.inc();
-                    for local in lo..hi {
-                        let out_row = &mut rows[local * k..local * k + k];
-                        out_row.copy_from_slice(intercepts);
-                        let brow = &panel[(local - lo) * s..(local - lo) * s + s];
-                        for (j, &b) in brow.iter().enumerate() {
-                            let crow = &self.coeffs_t[j * k..j * k + k];
-                            for (slot, &c) in out_row.iter_mut().zip(crow) {
-                                *slot += c * b;
-                            }
-                        }
-                    }
-                    lo = hi;
+        cbmf_parallel::par_rows_mut(out.as_mut_slice(), k.max(1), tile, |row0, rows| {
+            let mut ws = cbmf_parallel::workspace::acquire();
+            // A packed `tile × s` support panel, same row-major interleave
+            // as the blocked GEMM's left-operand pack.
+            let panel = ws.one(tile * s.max(1));
+            let mut lo = 0;
+            let nrows = rows.len() / k.max(1);
+            while lo < nrows {
+                let hi = (lo + tile).min(nrows);
+                for local in lo..hi {
+                    spec.eval_support_into(
+                        xs.row(row0 + local),
+                        support,
+                        &mut panel[(local - lo) * s..(local - lo) * s + s],
+                    );
                 }
-            });
-        } else {
-            cbmf_parallel::par_rows_mut(
-                out.as_mut_slice(),
-                k.max(1),
-                self.tile_rows,
-                |row0, rows| {
-                    let mut ws = cbmf_parallel::workspace::acquire();
-                    let basis = ws.one(m);
-                    for (local, out_row) in rows.chunks_mut(k.max(1)).enumerate() {
-                        spec.eval_into(xs.row(row0 + local), basis);
-                        for (state, slot) in out_row.iter_mut().enumerate() {
-                            *slot = self.model.predict_from_basis(state, basis);
+                for local in lo..hi {
+                    let out_row = &mut rows[local * k..local * k + k];
+                    out_row.copy_from_slice(intercepts);
+                    let brow = &panel[(local - lo) * s..(local - lo) * s + s];
+                    for (j, &b) in brow.iter().enumerate() {
+                        let crow = &self.coeffs_t[j * k..j * k + k];
+                        for (slot, &c) in out_row.iter_mut().zip(crow) {
+                            *slot += c * b;
                         }
                     }
-                },
-            );
-        }
+                }
+                lo = hi;
+            }
+        });
         Ok(out)
     }
 
@@ -367,39 +307,21 @@ mod tests {
 
     #[test]
     fn fused_and_materialized_paths_are_bitwise_identical() {
+        // The reference materializes the full basis dictionary per sample
+        // and gathers the support, the slow path the fused panel replaces.
         let model = toy_model(4, 11);
         let xs = Matrix::from_fn(157, 11, |i, j| ((i * 11 + j) as f64 * 0.073).sin() * 2.0);
+        let mut basis = vec![0.0; model.basis_spec().num_basis(11)];
         for tile in [1, 5, 64] {
-            let fused = BatchPredictor::new(model.clone())
-                .with_tile_rows(tile)
-                .with_fused(true);
-            let plain = BatchPredictor::new(model.clone())
-                .with_tile_rows(tile)
-                .with_fused(false);
-            assert!(fused.is_fused() && !plain.is_fused());
+            let fused = BatchPredictor::new(model.clone()).with_tile_rows(tile);
             let a = fused.predict_batch(&xs).unwrap();
-            let b = plain.predict_batch(&xs).unwrap();
-            for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(p.to_bits(), q.to_bits(), "tile={tile}");
+            for i in 0..xs.rows() {
+                model.basis_spec().eval_into(xs.row(i), &mut basis);
+                for state in 0..4 {
+                    let want = model.predict_from_basis(state, &basis);
+                    assert_eq!(a[(i, state)].to_bits(), want.to_bits(), "tile={tile}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn serve_counters_record_batch_shape() {
-        cbmf_trace::set_enabled(true);
-        cbmf_trace::reset();
-        let predictor = BatchPredictor::new(toy_model(3, 6)).with_fused(true);
-        let xs = Matrix::zeros(10, 6);
-        predictor.predict_batch(&xs).unwrap();
-        let snap = cbmf_trace::snapshot();
-        cbmf_trace::clear_enabled_override();
-        assert_eq!(snap.counters.get("serve.predictions"), Some(&30));
-        assert_eq!(snap.counters.get("serve.batches"), Some(&1));
-        // 3 support columns (0, 2, 4) × 10 samples × 3 states.
-        assert_eq!(snap.counters.get("serve.blocked_macs"), Some(&90));
-        // 10 rows at the default 64-row tile height → one fused tile.
-        assert_eq!(snap.counters.get("serve.fused_tiles"), Some(&1));
-        assert_eq!(snap.gauges.get("serve.batch_size"), Some(&10.0));
     }
 }

@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cbmf_parallel::SwapSlot;
@@ -85,6 +85,10 @@ pub struct ModelRegistry {
     write: Mutex<()>,
     clock: AtomicU64,
     capacity: usize,
+    /// Resident-model count, published by capacity enforcement under the
+    /// write lock, so readers never see a revival's slot filled before the
+    /// victim's slot is emptied.
+    resident: AtomicUsize,
 }
 
 impl ModelRegistry {
@@ -101,6 +105,7 @@ impl ModelRegistry {
             write: Mutex::new(()),
             clock: AtomicU64::new(0),
             capacity: capacity.max(1),
+            resident: AtomicUsize::new(0),
         };
         reg.dir.store(Arc::new(Directory {
             by_name: BTreeMap::new(),
@@ -226,12 +231,11 @@ impl ModelRegistry {
         }
     }
 
-    /// How many models are currently resident (≤ the capacity bound).
+    /// How many models are currently resident (≤ the capacity bound
+    /// unless pathless models pin more): the count as of the last completed
+    /// insert, eviction or revival.
     pub fn resident(&self) -> usize {
-        match self.dir.load() {
-            Some(dir) => dir.by_id.iter().filter(|e| e.cell.load().is_some()).count(),
-            None => 0,
-        }
+        self.resident.load(Ordering::Acquire)
     }
 
     // -- internals ---------------------------------------------------------
@@ -356,7 +360,9 @@ impl ModelRegistry {
             drop(victim.cell.take());
             EVICTIONS.inc();
         }
-        RESIDENT.set(dir.by_id.iter().filter(|e| e.cell.load().is_some()).count() as f64);
+        let resident = dir.by_id.iter().filter(|e| e.cell.load().is_some()).count();
+        self.resident.store(resident, Ordering::Release);
+        RESIDENT.set(resident as f64);
     }
 }
 
@@ -445,6 +451,40 @@ mod tests {
             assert_eq!(y.as_slice(), &want[..], "model {name} scale {scale}");
             assert!(reg.resident() <= 2);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A revival fills the revived slot before capacity enforcement empties
+    /// the victim's. `resident()` must not count that transient state.
+    #[test]
+    fn resident_count_is_published_after_enforcement() {
+        let dir = std::env::temp_dir().join(format!("cbmf_resident_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, scale) in [("a", 1.0), ("b", 2.0)] {
+            artifact(scale)
+                .save_binary(dir.join(format!("{name}.cbmf.bin")))
+                .unwrap();
+        }
+        let reg = ModelRegistry::with_capacity(1);
+        reg.load_dir(&dir).unwrap();
+        assert_eq!(reg.resident(), 1);
+        let table = reg.dir.load().unwrap();
+        let evicted = table
+            .by_id
+            .iter()
+            .find(|e| e.cell.load().is_none())
+            .unwrap();
+        // Stop a revival halfway: the slot is filled, enforcement not run.
+        let predictor = BatchPredictor::from_artifact(&artifact(1.0)).unwrap();
+        drop(evicted.cell.swap(Some(Arc::new(predictor))));
+        assert_eq!(
+            reg.resident(),
+            1,
+            "transient over-capacity state was counted"
+        );
+        reg.enforce_capacity_locked(Some(evicted.id));
+        assert_eq!(reg.resident(), 1);
+        assert!(evicted.cell.load().is_some(), "the revived model stays");
         std::fs::remove_dir_all(&dir).ok();
     }
 

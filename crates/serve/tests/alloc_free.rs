@@ -3,14 +3,19 @@
 //! `predict_batch` call allocates **only the output matrix** — the per-row
 //! basis evaluation and state loop never touch the heap. Proven with a
 //! counting global allocator, matching the blocked-kernel test in
-//! `cbmf-linalg`.
+//! `cbmf-linalg`. The binary runs without libtest (`harness = false`) so
+//! that no test-runner thread allocates while the counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use cbmf::{BasisSpec, PerStateModel};
 use cbmf_linalg::Matrix;
 use cbmf_serve::BatchPredictor;
+
+#[path = "../../trace/tests/support/serial_harness.rs"]
+mod serial_harness;
 
 /// Counts heap allocations while `ARMED` is set; delegates to the system
 /// allocator either way.
@@ -84,20 +89,32 @@ fn assert_steady_state(predictor: &BatchPredictor, xs: &Matrix, label: &str) {
     });
 }
 
-#[test]
 fn steady_state_batch_prediction_allocates_only_the_output() {
     let model = test_model();
     let d = model.num_variables();
-    let predictor = BatchPredictor::new(model).with_fused(false);
+    let predictor = BatchPredictor::new(model);
     let xs = Matrix::from_fn(200, d, |i, j| ((i * 9 + j) as f64 * 0.17).cos());
-    assert_steady_state(&predictor, &xs, "materialized");
+    assert_steady_state(&predictor, &xs, "default tile");
 }
 
-#[test]
+/// The fused support panel at a ragged tile height (200 = 28·7 + 4 rows).
 fn steady_state_fused_batch_prediction_allocates_only_the_output() {
     let model = test_model();
     let d = model.num_variables();
-    let predictor = BatchPredictor::new(model).with_fused(true);
+    let predictor = BatchPredictor::new(model).with_tile_rows(7);
     let xs = Matrix::from_fn(200, d, |i, j| ((i * 9 + j) as f64 * 0.17).cos());
-    assert_steady_state(&predictor, &xs, "fused");
+    assert_steady_state(&predictor, &xs, "7-row tile");
+}
+
+fn main() -> ExitCode {
+    serial_harness::run(&[
+        (
+            "steady_state_batch_prediction_allocates_only_the_output",
+            steady_state_batch_prediction_allocates_only_the_output,
+        ),
+        (
+            "steady_state_fused_batch_prediction_allocates_only_the_output",
+            steady_state_fused_batch_prediction_allocates_only_the_output,
+        ),
+    ])
 }

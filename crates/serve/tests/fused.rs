@@ -1,9 +1,8 @@
 //! Equivalence contract of the fused basis→GEMM serving path: for every
 //! batch shape (empty tail, exact tile, tile + 1, multi-tile) and thread
-//! count, the fused path returns **bitwise** the same matrix as the
-//! materialized path and as per-sample scalar prediction. This is the
-//! property that lets `CBMF_FUSE_PREDICT` default on without perturbing
-//! any committed artifact.
+//! count, the fused path returns **bitwise** the same matrix as a
+//! materialized full-dictionary evaluation and as per-sample scalar
+//! prediction ([`PerStateModel::predict`], the reference).
 
 use cbmf::{BasisSpec, PerStateModel};
 use cbmf_linalg::Matrix;
@@ -23,6 +22,26 @@ fn model() -> PerStateModel {
         .expect("valid model")
 }
 
+/// Per-sample reference bits in row-major (sample, state) order: the full
+/// basis dictionary materialized per row, then the support gathered by
+/// [`PerStateModel::predict_from_basis`]; checked against
+/// [`PerStateModel::predict`] on the way.
+fn materialized(model: &PerStateModel, xs: &Matrix) -> Vec<u64> {
+    let spec = model.basis_spec();
+    let mut basis = vec![0.0; spec.num_basis(model.num_variables())];
+    let mut bits = Vec::new();
+    for i in 0..xs.rows() {
+        spec.eval_into(xs.row(i), &mut basis);
+        for state in 0..model.num_states() {
+            let v = model.predict_from_basis(state, &basis);
+            let scalar = model.predict(state, xs.row(i)).unwrap();
+            assert_eq!(v.to_bits(), scalar.to_bits(), "reference paths disagree");
+            bits.push(v.to_bits());
+        }
+    }
+    bits
+}
+
 fn batch(n: usize, d: usize) -> Matrix {
     Matrix::from_fn(n, d, |i, j| ((i * d + j) as f64 * 0.0137).sin() * 3.0 - 0.5)
 }
@@ -36,26 +55,14 @@ fn fused_is_bitwise_equal_to_materialized_and_per_sample_everywhere() {
     // multi-tile batch large enough to split across every thread count.
     for n in [1usize, 63, 64, 65, 1024] {
         let xs = batch(n, d);
-        let reference: Vec<u64> = (0..n)
-            .flat_map(|i| {
-                let xs = &xs;
-                let model = &model;
-                (0..k).map(move |state| model.predict(state, xs.row(i)).unwrap().to_bits())
-            })
-            .collect();
+        let reference = materialized(&model, &xs);
+        let predictor = BatchPredictor::new(model.clone());
         for threads in [1usize, 2, 4, 8] {
-            for fused in [false, true] {
-                let predictor = BatchPredictor::new(model.clone()).with_fused(fused);
-                let out =
-                    cbmf_parallel::with_threads(threads, || predictor.predict_batch(&xs).unwrap());
-                assert_eq!(out.shape(), (n, k));
-                for (got, want) in out.as_slice().iter().zip(&reference) {
-                    assert_eq!(
-                        got.to_bits(),
-                        *want,
-                        "n={n} threads={threads} fused={fused}"
-                    );
-                }
+            let out =
+                cbmf_parallel::with_threads(threads, || predictor.predict_batch(&xs).unwrap());
+            assert_eq!(out.shape(), (n, k));
+            for (got, want) in out.as_slice().iter().zip(&reference) {
+                assert_eq!(got.to_bits(), *want, "n={n} threads={threads}");
             }
         }
     }
@@ -66,18 +73,14 @@ fn fused_handles_ragged_tiles_and_tiny_tile_heights() {
     let model = model();
     let d = model.num_variables();
     let xs = batch(131, d);
-    let want = BatchPredictor::new(model.clone())
-        .with_fused(false)
-        .predict_batch(&xs)
-        .unwrap();
+    let want = materialized(&model, &xs);
     for tile in [1usize, 3, 7, 64, 200] {
         let out = BatchPredictor::new(model.clone())
-            .with_fused(true)
             .with_tile_rows(tile)
             .predict_batch(&xs)
             .unwrap();
-        for (p, q) in out.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(p.to_bits(), q.to_bits(), "tile={tile}");
+        for (p, q) in out.as_slice().iter().zip(&want) {
+            assert_eq!(p.to_bits(), *q, "tile={tile}");
         }
     }
 }
@@ -106,7 +109,6 @@ fn fused_serves_linear_models_and_empty_support() {
     for model in [linear, empty] {
         let xs = batch(70, d);
         let fused = BatchPredictor::new(model.clone())
-            .with_fused(true)
             .predict_batch(&xs)
             .unwrap();
         for i in 0..70 {

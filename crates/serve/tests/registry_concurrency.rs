@@ -8,8 +8,9 @@
 //! predictor's internal parallelism is exercised at every width underneath
 //! the swap storm.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use cbmf::{BasisSpec, PerStateModel};
 use cbmf_linalg::Matrix;
@@ -17,6 +18,14 @@ use cbmf_serve::{BatchPredictor, ModelArtifact, ModelRegistry};
 
 const VARIABLES: usize = 3;
 const READERS: usize = 6;
+
+/// Whether the writer should keep churning: until every reader has
+/// finished (a panicked reader counts), failing the test after a deadline
+/// instead of spinning forever.
+fn readers_running(readers: &[JoinHandle<()>], deadline: Instant) -> bool {
+    assert!(Instant::now() < deadline, "readers did not finish in time");
+    !readers.iter().all(JoinHandle::is_finished)
+}
 
 /// A tiny model whose predictions are a recognizable function of `scale` —
 /// distinct scales give bitwise-distinct outputs on any nonzero sample.
@@ -69,12 +78,10 @@ fn swap_storm_yields_exactly_one_model_per_response() {
 
     let reg = Arc::new(ModelRegistry::new());
     reg.insert("m", &a).unwrap();
-    let finished = Arc::new(AtomicUsize::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let reg = Arc::clone(&reg);
-            let finished = Arc::clone(&finished);
             let (xs, bits_a, bits_b) = (xs.clone(), bits_a.clone(), bits_b.clone());
             std::thread::spawn(move || {
                 for _ in 0..CHECKS_PER_READER {
@@ -87,7 +94,6 @@ fn swap_storm_yields_exactly_one_model_per_response() {
                         "response matches neither model bitwise"
                     );
                 }
-                finished.fetch_add(1, Ordering::Relaxed);
             })
         })
         .collect();
@@ -95,7 +101,8 @@ fn swap_storm_yields_exactly_one_model_per_response() {
     // Swap for as long as the readers are still checking, so every reader
     // iteration races a live writer.
     let mut swaps = 0usize;
-    while finished.load(Ordering::Relaxed) < READERS {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while readers_running(&readers, deadline) {
         let next = if swaps.is_multiple_of(2) { &b } else { &a };
         reg.insert("m", next).unwrap();
         swaps += 1;
@@ -138,11 +145,9 @@ fn lru_eviction_under_load_never_breaks_requests() {
     reg.load_dir(&dir).unwrap();
     assert_eq!(reg.resident(), 1, "capacity bound holds after load_dir");
 
-    let finished = Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..READERS)
         .map(|t| {
             let reg = Arc::clone(&reg);
-            let finished = Arc::clone(&finished);
             let xs = xs.clone();
             let expect = expect.clone();
             std::thread::spawn(move || {
@@ -156,7 +161,6 @@ fn lru_eviction_under_load_never_breaks_requests() {
                     let got = bits(&predictor.predict_batch(&xs).unwrap());
                     assert_eq!(&got, want, "model {name} served wrong bits");
                 }
-                finished.fetch_add(1, Ordering::Relaxed);
             })
         })
         .collect();
@@ -164,7 +168,8 @@ fn lru_eviction_under_load_never_breaks_requests() {
     // Writer churn: reloads re-read the same bytes (bits stay fixed) while
     // forcing publish + capacity enforcement against the read storm.
     let mut reloads = 0usize;
-    while finished.load(Ordering::Relaxed) < READERS {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while readers_running(&readers, deadline) {
         let (name, _) = scales[reloads % scales.len()];
         reg.reload(name).unwrap();
         assert!(reg.resident() <= 1, "capacity bound violated mid-storm");

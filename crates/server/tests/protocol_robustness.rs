@@ -119,7 +119,19 @@ fn spawn_server() -> PredictionServer {
     .unwrap()
 }
 
-/// Reads frames until EOF; returns the decoded responses.
+/// A raw connection whose reads give up after ten silent seconds, so a
+/// server that never answers or never closes fails the test instead of
+/// hanging it.
+fn connect(server: &PredictionServer) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Reads frames until EOF (or a read timeout); returns the decoded
+/// responses.
 fn drain_responses(stream: &mut TcpStream) -> Vec<Response> {
     let mut out = Vec::new();
     loop {
@@ -136,7 +148,7 @@ fn bad_checksum_answers_in_band_and_connection_survives() {
     cbmf_trace::set_enabled(true);
     let before = protocol_errors();
     let server = spawn_server();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut stream = connect(&server);
     let mut frame = encode_request(&Request {
         kind: RequestKind::Predict,
         model_id: 0,
@@ -173,7 +185,7 @@ fn oversized_prefix_gets_error_frame_then_clean_close() {
     cbmf_trace::set_enabled(true);
     let before = protocol_errors();
     let server = spawn_server();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut stream = connect(&server);
     stream
         .write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes())
         .unwrap();
@@ -204,7 +216,7 @@ fn truncated_frame_with_half_closed_writer_gets_typed_error() {
     cbmf_trace::set_enabled(true);
     let before = protocol_errors();
     let server = spawn_server();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut stream = connect(&server);
     // Claim 100 body bytes, deliver 10, then half-close: the server sees a
     // definite truncation and must answer it before closing.
     stream.write_all(&100u32.to_le_bytes()).unwrap();
@@ -232,7 +244,7 @@ fn mid_frame_disconnect_leaves_server_healthy() {
     // Ten connections that die mid-frame without so much as a FIN ordering
     // guarantee; none may take the server down.
     for i in 0..10 {
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut stream = connect(&server);
         let frame = encode_request(&Request {
             kind: RequestKind::Predict,
             model_id: 0,
@@ -251,7 +263,7 @@ fn garbage_storm_never_kills_the_listener() {
     let _l = counter_lock();
     let server = spawn_server();
     for seed in 0u64..20 {
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut stream = connect(&server);
         // Deterministic junk: an xorshift stream of 1..=256 bytes.
         let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
         let len = 1 + (seed as usize * 13) % 256;

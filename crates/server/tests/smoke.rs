@@ -1,8 +1,8 @@
 //! Loopback smoke suite: concurrent clients against a live server, with
 //! every response compared *bitwise* against the direct
 //! `BatchPredictor::predict_batch` call. Run in CI at
-//! `RAYON_NUM_THREADS ∈ {1,2,4,8}` and under both `CBMF_FUSE_PREDICT`
-//! settings — coalescing must be invisible in the bits everywhere.
+//! `RAYON_NUM_THREADS ∈ {1,2,4,8}` — coalescing must be invisible in the
+//! bits everywhere.
 
 mod common;
 

@@ -6,17 +6,21 @@
 //! **zero allocation** on the disabled fast path, proven with a counting
 //! global allocator rather than asserted by inspection.
 //!
-//! The registry and the enable override are process-global, so every test
-//! takes one shared lock; cargo runs this integration binary's tests in
-//! worker threads of a single process.
+//! The binary runs without libtest (`harness = false`, see
+//! `support/serial_harness.rs`): the tests run one after another on the
+//! main thread, so the process-global registry and enable override need no
+//! lock, and the counting allocator sees only the code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use cbmf_trace::{
     clear_enabled_override, reset, set_enabled, snapshot, span, Counter, Gauge, Json, ReportMeta,
 };
+
+#[path = "support/serial_harness.rs"]
+mod serial_harness;
 
 /// Counts heap allocations while `ARMED` is set; delegates to the system
 /// allocator either way.
@@ -51,18 +55,10 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Counter increments from every worker of a `cbmf-parallel` fork-join land
 /// in the same global cell — the aggregation the instrumented kernels rely
 /// on — and the total is exact, not approximate.
-#[test]
-#[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
 fn counters_aggregate_exactly_across_fork_joins() {
-    let _l = test_lock();
     set_enabled(true);
     reset();
     static FORK: Counter = Counter::new("test.fork.adds");
@@ -90,10 +86,7 @@ fn counters_aggregate_exactly_across_fork_joins() {
 
 /// Gauge `maximize` under concurrent writers keeps the global maximum:
 /// the CAS loop must not lose the largest value to a race.
-#[test]
-#[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
 fn gauge_maximize_is_race_free() {
-    let _l = test_lock();
     set_enabled(true);
     reset();
     static PEAK: Gauge = Gauge::new("test.fork.peak");
@@ -112,10 +105,7 @@ fn gauge_maximize_is_race_free() {
 /// Span paths are per-thread: each fork-join worker builds its own root, so
 /// a span opened inside a worker does not inherit the orchestrating
 /// thread's open path, and all activations still aggregate by path.
-#[test]
-#[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
 fn spans_nest_per_thread_under_fork_join() {
-    let _l = test_lock();
     set_enabled(true);
     reset();
     {
@@ -143,9 +133,7 @@ fn spans_nest_per_thread_under_fork_join() {
 /// The disabled fast path allocates nothing: counters, gauges and spans all
 /// return after one relaxed atomic load. This is the contract that makes it
 /// safe to leave instrumentation inside release kernels.
-#[test]
 fn disabled_path_performs_zero_allocations() {
-    let _l = test_lock();
     set_enabled(false);
     static C: Counter = Counter::new("test.noalloc.counter");
     static G: Gauge = Gauge::new("test.noalloc.gauge");
@@ -166,10 +154,7 @@ fn disabled_path_performs_zero_allocations() {
 
 /// A rendered run report survives a print → parse round trip bit-for-bit,
 /// in both pretty and compact forms, and validates against the schema.
-#[test]
-#[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
 fn report_round_trips_through_serializer() {
-    let _l = test_lock();
     set_enabled(true);
     reset();
     static C: Counter = Counter::new("test.roundtrip.counter");
@@ -199,4 +184,30 @@ fn report_round_trips_through_serializer() {
     let spans = doc.get("spans").and_then(Json::as_obj).unwrap();
     assert!(spans.contains_key("roundtrip_outer/roundtrip_inner"));
     clear_enabled_override();
+}
+
+fn main() -> ExitCode {
+    let mut tests: Vec<(&'static str, fn())> = vec![(
+        "disabled_path_performs_zero_allocations",
+        disabled_path_performs_zero_allocations,
+    )];
+    // The remaining contracts need the collection code compiled in.
+    if cfg!(feature = "trace") {
+        tests.extend([
+            (
+                "counters_aggregate_exactly_across_fork_joins",
+                counters_aggregate_exactly_across_fork_joins as fn(),
+            ),
+            ("gauge_maximize_is_race_free", gauge_maximize_is_race_free),
+            (
+                "spans_nest_per_thread_under_fork_join",
+                spans_nest_per_thread_under_fork_join,
+            ),
+            (
+                "report_round_trips_through_serializer",
+                report_round_trips_through_serializer,
+            ),
+        ]);
+    }
+    serial_harness::run(&tests)
 }
