@@ -1,5 +1,3 @@
-use std::sync::OnceLock;
-
 use cbmf_linalg::Matrix;
 use cbmf_stats::describe;
 use cbmf_trace::Counter;
@@ -7,20 +5,9 @@ use cbmf_trace::Counter;
 use crate::basis::BasisSpec;
 use crate::error::CbmfError;
 
-/// Cache hits across all three per-state product caches (`BᵀB`, `Bᵀy`,
-/// column norms): calls served from an already-computed value.
-static GRAM_CACHE_HITS: Counter = Counter::new("cbmf.gram_cache.hits");
-/// Cache misses: calls that had to compute (and store) the product.
-static GRAM_CACHE_MISSES: Counter = Counter::new("cbmf.gram_cache.misses");
 /// Sample rows appended to live problems by
-/// [`TunableProblem::append_samples`] (summed over states). Each appended
-/// row updates the Gram caches by a rank-1 correction instead of an
-/// `O(N·M²)` recomputation.
+/// [`TunableProblem::append_samples`] (summed over states).
 static STREAM_APPENDED_ROWS: Counter = Counter::new("stream.appended_rows");
-/// Per-state Gram/`Bᵀy` cache extensions performed by `append_samples`:
-/// each is one rank-k update that replaced a from-scratch recomputation on
-/// the grown data.
-static STREAM_GRAM_EXTENSIONS: Counter = Counter::new("stream.gram_extensions");
 
 /// Per-state training data: the basis matrix `B_k` (paper eq. 3) and the
 /// centered response `y_k` (eq. 5) plus the removed means.
@@ -40,25 +27,43 @@ pub struct StateData {
     pub y_mean: f64,
     /// Mean removed from each basis column, length `M`.
     pub basis_means: Vec<f64>,
-    caches: StateCaches,
-}
-
-/// Lazily computed per-state products shared by every fitting algorithm.
-///
-/// The greedy selectors, the cross-validation sweeps, and the incremental
-/// Bayesian solver all consume `B_kᵀB_k`, `B_kᵀy_k`, and the column norms;
-/// keeping them here means each is computed at most once per problem no
-/// matter how many sparsity candidates or greedy iterations touch the same
-/// training split. Cloning a [`StateData`] clones any already-computed
-/// values, which stay valid because the data fields are cloned with them.
-#[derive(Debug, Clone, Default)]
-struct StateCaches {
-    t_gram: OnceLock<Matrix>,
-    bty: OnceLock<Vec<f64>>,
-    col_norms: OnceLock<Vec<f64>>,
+    /// `B_kᵀ y_k`, length `M`.
+    bty: Vec<f64>,
+    /// Basis column norms `‖b_m‖`, floored away from zero.
+    col_norms: Vec<f64>,
 }
 
 impl StateData {
+    /// Centers raw per-state data the way every constructor in this crate
+    /// does — response and each basis column at their means — and computes
+    /// the two length-`M` products the fitters read, `B_kᵀy_k` and the
+    /// column norms. Both are `O(N·M)`, the cost of one pass over the data.
+    fn from_raw(raw_basis: Matrix, raw_y: &[f64]) -> StateData {
+        let y_mean = describe::mean(raw_y);
+        let y: Vec<f64> = raw_y.iter().map(|v| v - y_mean).collect();
+        let (basis, basis_means) = center_columns(raw_basis);
+        let bty = basis
+            .t_matvec(&y)
+            .expect("response length equals basis rows by construction");
+        let mut col_norms = vec![0.0; basis.cols()];
+        for i in 0..y.len() {
+            for (nj, bij) in col_norms.iter_mut().zip(basis.row(i)) {
+                *nj += bij * bij;
+            }
+        }
+        for n in &mut col_norms {
+            *n = n.sqrt().max(1e-300);
+        }
+        StateData {
+            basis,
+            y,
+            y_mean,
+            basis_means,
+            bty,
+            col_norms,
+        }
+    }
+
     /// Number of samples in this state.
     pub fn len(&self) -> usize {
         self.y.len()
@@ -69,150 +74,27 @@ impl StateData {
         self.y.is_empty()
     }
 
-    /// Cached Gram matrix `B_kᵀ B_k` (`M × M`), computed on first use.
+    /// The Gram matrix `B_kᵀ B_k` (`M × M`), computed on every call.
     ///
-    /// The cached products assume `basis` and `y` are not mutated after
-    /// construction; every constructor in this crate upholds that.
-    pub fn t_gram(&self) -> &Matrix {
-        if let Some(g) = self.caches.t_gram.get() {
-            GRAM_CACHE_HITS.inc();
-            return g;
-        }
-        GRAM_CACHE_MISSES.inc();
-        self.caches
-            .t_gram
-            .get_or_init(|| self.basis.transpose().gram())
+    /// No fitting path needs it except the elastic net: the greedy
+    /// selectors score against residuals and the Algorithm-1 solver forms
+    /// only the Gram entries of selected columns, so nothing `M × M` is
+    /// held per state.
+    pub fn t_gram(&self) -> Matrix {
+        self.basis.transpose().gram()
     }
 
-    /// Cached correlation vector `B_kᵀ y_k` (length `M`), computed on first
-    /// use.
+    /// Correlation vector `B_kᵀ y_k` (length `M`). Like
+    /// [`Self::col_norms`], it is computed at construction and assumes
+    /// `basis` and `y` are not mutated afterwards.
     pub fn bty(&self) -> &[f64] {
-        if let Some(v) = self.caches.bty.get() {
-            GRAM_CACHE_HITS.inc();
-            return v;
-        }
-        GRAM_CACHE_MISSES.inc();
-        self.caches.bty.get_or_init(|| {
-            self.basis
-                .t_matvec(&self.y)
-                .expect("response length equals basis rows by construction")
-        })
+        &self.bty
     }
 
-    /// Cached basis column norms `‖b_m‖` (floored away from zero), used to
+    /// Basis column norms `‖b_m‖` (floored away from zero), used to
     /// normalize greedy correlation scores.
     pub fn col_norms(&self) -> &[f64] {
-        if let Some(v) = self.caches.col_norms.get() {
-            GRAM_CACHE_HITS.inc();
-            return v;
-        }
-        GRAM_CACHE_MISSES.inc();
-        self.caches.col_norms.get_or_init(|| {
-            let mut norms = vec![0.0; self.basis.cols()];
-            for i in 0..self.len() {
-                for (nj, bij) in norms.iter_mut().zip(self.basis.row(i)) {
-                    *nj += bij * bij;
-                }
-            }
-            for n in &mut norms {
-                *n = n.sqrt().max(1e-300);
-            }
-            norms
-        })
-    }
-
-    /// Absorbs a chunk of raw (uncentered) rows, extending the cached
-    /// products by a rank-k update and re-centering the stored data at the
-    /// grown means. See [`TunableProblem::append_samples`] for the identity.
-    fn append_raw(&mut self, raw_new: &Matrix, y_new: &[f64]) {
-        let m = self.basis.cols();
-        let n0 = self.len();
-        let n1 = y_new.len();
-        let n = n0 + n1;
-
-        // Old centered products — computed now if still cold, which is the
-        // same work the lazy accessor would have done later.
-        let mut g_raw = self.t_gram().clone();
-        let mut q_raw = self.bty().to_vec();
-
-        // Invert the centering: raw accumulators from centered products.
-        let nf0 = n0 as f64;
-        for i in 0..m {
-            for j in 0..m {
-                g_raw[(i, j)] += nf0 * self.basis_means[i] * self.basis_means[j];
-            }
-        }
-        let mut col_sums: Vec<f64> = self.basis_means.iter().map(|bm| bm * nf0).collect();
-        for (q, s) in q_raw.iter_mut().zip(&col_sums) {
-            *q += self.y_mean * s;
-        }
-        let mut y_sum = self.y_mean * nf0;
-
-        // Rank-n1 chunk update on the raw accumulators.
-        let g_chunk = raw_new.transpose().gram();
-        for (g, gc) in g_raw.as_mut_slice().iter_mut().zip(g_chunk.as_slice()) {
-            *g += gc;
-        }
-        let q_chunk = raw_new
-            .t_matvec(y_new)
-            .expect("chunk rows equal response count by construction");
-        for (q, qc) in q_raw.iter_mut().zip(&q_chunk) {
-            *q += qc;
-        }
-        for (i, yv) in y_new.iter().enumerate() {
-            for (s, b) in col_sums.iter_mut().zip(raw_new.row(i)) {
-                *s += b;
-            }
-            y_sum += yv;
-        }
-
-        // Re-center at the grown means.
-        let nf = n as f64;
-        let y_mean = y_sum / nf;
-        let means: Vec<f64> = col_sums.iter().map(|s| s / nf).collect();
-        let mut g_c = g_raw;
-        for i in 0..m {
-            for j in 0..m {
-                g_c[(i, j)] -= nf * means[i] * means[j];
-            }
-        }
-        let mut q_c = q_raw;
-        for (q, s) in q_c.iter_mut().zip(&col_sums) {
-            *q -= y_mean * s;
-        }
-        let col_norms: Vec<f64> = (0..m)
-            .map(|j| g_c[(j, j)].max(0.0).sqrt().max(1e-300))
-            .collect();
-
-        let mut basis = Matrix::zeros(n, m);
-        for i in 0..n0 {
-            let dst = basis.row_mut(i);
-            let src = self.basis.row(i);
-            for j in 0..m {
-                dst[j] = src[j] + self.basis_means[j] - means[j];
-            }
-        }
-        for i in 0..n1 {
-            let dst = basis.row_mut(n0 + i);
-            let src = raw_new.row(i);
-            for j in 0..m {
-                dst[j] = src[j] - means[j];
-            }
-        }
-        let mut y = Vec::with_capacity(n);
-        y.extend(self.y.iter().map(|v| v + self.y_mean - y_mean));
-        y.extend(y_new.iter().map(|v| v - y_mean));
-
-        self.basis = basis;
-        self.y = y;
-        self.y_mean = y_mean;
-        self.basis_means = means;
-        let caches = StateCaches::default();
-        let _ = caches.t_gram.set(g_c);
-        let _ = caches.bty.set(q_c);
-        let _ = caches.col_norms.set(col_norms);
-        self.caches = caches;
-        STREAM_GRAM_EXTENSIONS.inc();
+        &self.col_norms
     }
 }
 
@@ -305,16 +187,7 @@ impl TunableProblem {
                     what: "sample values",
                 });
             }
-            let y_mean = describe::mean(y);
-            let centered: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
-            let (basis, basis_means) = center_columns(basis_spec.design_matrix(x));
-            states.push(StateData {
-                basis,
-                y: centered,
-                y_mean,
-                basis_means,
-                caches: StateCaches::default(),
-            });
+            states.push(StateData::from_raw(basis_spec.design_matrix(x), y));
         }
         Ok(TunableProblem {
             states,
@@ -437,16 +310,7 @@ impl TunableProblem {
                 }
                 raw_y.push(st.y[i] + st.y_mean);
             }
-            let y_mean = describe::mean(&raw_y);
-            let y = raw_y.iter().map(|v| v - y_mean).collect();
-            let (basis, basis_means) = center_columns(raw_basis);
-            states.push(StateData {
-                basis,
-                y,
-                y_mean,
-                basis_means,
-                caches: StateCaches::default(),
-            });
+            states.push(StateData::from_raw(raw_basis, &raw_y));
         }
         Ok(TunableProblem {
             states,
@@ -455,23 +319,17 @@ impl TunableProblem {
         })
     }
 
-    /// Appends a chunk of raw per-state samples to a live problem, extending
-    /// the per-state Gram/`Bᵀy` caches by rank-k updates instead of
-    /// recomputing them on the grown data — the `O(n_chunk·M²)` step that
-    /// makes streaming fits cheaper than refitting from scratch.
+    /// Appends a chunk of raw per-state samples to a live problem. Each
+    /// state's stored rows are restored to raw values, stacked with the
+    /// chunk and re-centered at the grown means, exactly as
+    /// [`TunableProblem::from_samples`] centers its input, so intercept
+    /// reconstruction stays exact. The cost is `O(N·M)` per state, one pass
+    /// over the grown data.
     ///
-    /// The identity used: with raw accumulators `G = Σbᵢbᵢᵀ`, `s = Σbᵢ`,
-    /// `q = Σyᵢbᵢ`, the centered products are `BcᵀBc = G − n·m̄m̄ᵀ` and
-    /// `Bcᵀyc = q − ȳ·s` (`m̄ = s/n`). The old raw accumulators are
-    /// recovered from the cached centered products by the inverse identity,
-    /// the chunk contributes one rank-`n_chunk` update, and the grown caches
-    /// are installed warm. The stored basis/response are re-centered at the
-    /// grown means, so intercept reconstruction stays exact.
-    ///
-    /// Appending changes per-state means, so results of a fit on the grown
-    /// problem are *numerically equal but not bitwise identical* to a batch
-    /// fit of the same data; the streaming engine only claims bitwise parity
-    /// for the degenerate one-chunk schedule, which never calls this.
+    /// Restoring raw values rounds, so a fit on the grown problem is
+    /// *numerically equal but not bitwise identical* to a batch fit of the
+    /// same data; the streaming engine only claims bitwise parity for the
+    /// degenerate one-chunk schedule, which never calls this.
     ///
     /// # Errors
     ///
@@ -539,8 +397,14 @@ impl TunableProblem {
             }
             expansions.push(expanded);
         }
-        for ((st, raw_new), y_new) in self.states.iter_mut().zip(&expansions).zip(ys) {
-            st.append_raw(raw_new, y_new);
+        for (k, (raw_new, y_new)) in expansions.iter().zip(ys).enumerate() {
+            let mut raw = self.raw_basis(k).into_vec();
+            raw.extend_from_slice(raw_new.as_slice());
+            let mut raw_y = self.raw_y(k);
+            raw_y.extend_from_slice(y_new);
+            let raw = Matrix::from_vec(raw_y.len(), self.num_basis, raw)
+                .expect("chunk width checked above");
+            self.states[k] = StateData::from_raw(raw, &raw_y);
             STREAM_APPENDED_ROWS.add(y_new.len() as u64);
         }
         Ok(())
@@ -725,15 +589,9 @@ mod tests {
     #[test]
     fn append_samples_matches_from_scratch_construction() {
         // Grow the toy problem by a chunk and compare every piece — stored
-        // centered data, means, and the rank-k-extended caches — against a
-        // problem built from the concatenated raw data in one shot.
+        // centered data, means, and the eager `Bᵀy` and column norms —
+        // against a problem built from the concatenated raw data in one shot.
         let mut grown = toy_problem();
-        // Warm the caches first so the append exercises the extension path.
-        for st in grown.states() {
-            let _ = st.t_gram();
-            let _ = st.bty();
-            let _ = st.col_norms();
-        }
         let cx0 = Matrix::from_rows(&[&[3.0, 1.0], &[-1.0, 0.5]]).unwrap();
         let cy0 = vec![50.0, 60.0];
         let cx1 = Matrix::from_rows(&[&[2.0, 2.0], &[0.5, -1.0]]).unwrap();
@@ -776,11 +634,6 @@ mod tests {
             }
             for (a, b) in g.basis.as_slice().iter().zip(s.basis.as_slice()) {
                 assert!((a - b).abs() < 1e-12);
-            }
-            // The extended caches agree with a cold recomputation on the
-            // concatenated data.
-            for (a, b) in g.t_gram().as_slice().iter().zip(s.t_gram().as_slice()) {
-                assert!((a - b).abs() < 1e-10);
             }
             for (a, b) in g.bty().iter().zip(s.bty()) {
                 assert!((a - b).abs() < 1e-10);

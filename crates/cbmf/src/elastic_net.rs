@@ -50,9 +50,9 @@ impl Default for ElasticNetConfig {
 /// Unlike S-OMP or C-BMF it shares nothing across states — which is exactly
 /// what the accuracy-vs-cost bench uses it to demonstrate.
 ///
-/// The solver works entirely on the per-state Gram caches
-/// ([`StateData::t_gram`](crate::dataset::StateData::t_gram) /
-/// [`bty`](crate::dataset::StateData::bty)): each coordinate update is a
+/// The solver works on one normalized `M × M` Gram per state, built at fit
+/// time from [`StateData::t_gram`](crate::dataset::StateData::t_gram) and
+/// [`bty`](crate::dataset::StateData::bty): each coordinate update is a
 /// covariance-style residual-correlation update, swept serially per state,
 /// so the fit is bitwise identical at any `RAYON_NUM_THREADS` by
 /// construction. Convergence uses an active-set schedule: after a full

@@ -5,12 +5,11 @@ use rand::Rng;
 
 use crate::dataset::{StateData, TunableProblem};
 use crate::error::CbmfError;
-use crate::model::PerStateModel;
-use crate::ols::dictionary_dim;
 use cbmf_linalg::Cholesky;
 
 use crate::omp::{best_unselected, build_folds, materialize_splits, selection_scores};
 use crate::prior::{toeplitz_r, CbmfPrior};
+use crate::somp::{assemble_model, sort_by_support};
 
 /// Greedy steps that extended the support-space factor incrementally via
 /// `Cholesky::append_block` — the Algorithm-1 fast path.
@@ -138,8 +137,7 @@ impl SompInitializer {
         let sigma_base = sigma_base.max(1e-12);
 
         // The fold splits are hoisted out of the candidate sweep: every
-        // (r0, σ0, θ) candidate shares the same materialized sub-problems,
-        // and with them the cached per-state Gram products.
+        // (r0, σ0, θ) candidate shares the same materialized sub-problems.
         let folds = build_folds(problem, self.grid.cv_folds, rng)?;
         let splits = materialize_splits(problem, &folds, self.grid.cv_folds)?;
         let mut cands: Vec<(f64, f64, usize)> = Vec::new();
@@ -279,8 +277,7 @@ fn select_with_bayes(
     let mut support: Vec<usize> = Vec::with_capacity(cap);
     let mut coeffs = Matrix::zeros(k, 0);
     for _ in 0..cap {
-        // ξ summed over states (eq. 33), per-state normalized, with the
-        // residual correlations expanded through the cached Gram products.
+        // ξ summed over states (eq. 33), per-state normalized.
         let coeff_rows: Vec<&[f64]> = (0..k).map(|ki| coeffs.row(ki)).collect();
         let score = selection_scores(m, &states, &support, &coeff_rows);
         let Some(best) = best_unselected(&score, &support) else {
@@ -290,12 +287,7 @@ fn select_with_bayes(
         solver.add_basis(best, 1.0)?;
         coeffs = solver.coefficients()?;
     }
-    // Sort support ascending and permute coefficient columns along.
-    let mut order: Vec<usize> = (0..support.len()).collect();
-    order.sort_by_key(|&i| support[i]);
-    let sorted_support: Vec<usize> = order.iter().map(|&i| support[i]).collect();
-    let sorted_coeffs = coeffs.select_cols(&order);
-    Ok((sorted_support, sorted_coeffs))
+    Ok(sort_by_support(&support, &coeffs))
 }
 
 /// Incrementally factored *support-space* posterior for the greedy loop.
@@ -313,9 +305,9 @@ fn select_with_bayes(
 /// row/column to this system, so the Cholesky factor is extended in place
 /// by [`Cholesky::append_block`] at `O(K·(K·|S|)² + K³)` per greedy step —
 /// versus `O((NK)³)` for refactoring the observation-space covariance from
-/// scratch, or `O(K·(NK)²)` for rank-one updating it. All matrix entries
-/// come from the cached per-state products of [`StateData`]; the raw basis
-/// matrices are never touched after the caches are warm.
+/// scratch, or `O(K·(NK)²)` for rank-one updating it. The new block's Gram
+/// entries are dot products of the new column with the selected ones,
+/// `O(K·N·|S|)` per step, so no `M × M` Gram is ever formed.
 struct IncrementalBayes<'a> {
     problem: &'a TunableProblem,
     /// R⁻¹ (K × K), shared by every diagonal block.
@@ -345,23 +337,7 @@ impl<'a> IncrementalBayes<'a> {
     /// Appends basis `m` (prior variance `lambda`) as one K-wide block
     /// row/column of the support-space system.
     fn add_basis(&mut self, m: usize, lambda: f64) -> Result<(), CbmfError> {
-        let k = self.problem.num_states();
-        let states = self.problem.states();
-        let s2i = self.sigma0_sq_inv;
-        // New diagonal block: λ⁻¹·R⁻¹ + σ0⁻²·diag_k(‖b_{k,m}‖²).
-        let mut a22 = self.r_inv.scaled(1.0 / lambda);
-        for (ki, st) in states.iter().enumerate() {
-            a22[(ki, ki)] += s2i * st.t_gram()[(m, m)];
-        }
-        // Cross block against each basis already in the factor: states do
-        // not mix in the likelihood, so block j is the diagonal matrix
-        // σ0⁻²·diag_k((B_kᵀB_k)[m_j, m]).
-        let mut a21 = Matrix::zeros(k, self.support.len() * k);
-        for (j, &sj) in self.support.iter().enumerate() {
-            for (ki, st) in states.iter().enumerate() {
-                a21[(ki, j * k + ki)] = s2i * st.t_gram()[(sj, m)];
-            }
-        }
+        let (a21, a22) = self.new_blocks(m, lambda);
         match &mut self.chol {
             Some(chol) => {
                 chol.append_block(&a21, &a22)?;
@@ -372,11 +348,45 @@ impl<'a> IncrementalBayes<'a> {
                 INIT_REFACTOR_STEPS.inc();
             }
         }
-        for st in states {
-            self.rhs.push(s2i * st.bty()[m]);
+        for st in self.problem.states() {
+            self.rhs.push(self.sigma0_sq_inv * st.bty()[m]);
         }
         self.support.push(m);
         Ok(())
+    }
+
+    /// The block row that basis `m` appends: the cross block `a21`
+    /// (`K × K·|S|`) against the bases already in the factor, and the new
+    /// diagonal block `a22` (`K × K`).
+    fn new_blocks(&self, m: usize, lambda: f64) -> (Matrix, Matrix) {
+        let k = self.problem.num_states();
+        let s2i = self.sigma0_sq_inv;
+        // New diagonal block λ⁻¹·R⁻¹ + σ0⁻²·diag_k(‖b_{k,m}‖²), and the
+        // cross block against each selected basis: states do not mix in
+        // the likelihood, so block j is the diagonal matrix
+        // σ0⁻²·diag_k(b_{k,m_j}ᵀ b_{k,m}). Both come from dot products of
+        // the new column with itself and the selected columns, accumulated
+        // over rows in index order.
+        let mut a22 = self.r_inv.scaled(1.0 / lambda);
+        let mut a21 = Matrix::zeros(k, self.support.len() * k);
+        let mut cross = vec![0.0; self.support.len()];
+        for (ki, st) in self.problem.states().iter().enumerate() {
+            let mut diag = 0.0;
+            cross.fill(0.0);
+            for i in 0..st.len() {
+                let row = st.basis.row(i);
+                let b = row[m];
+                diag += b * b;
+                for (c, &sj) in cross.iter_mut().zip(&self.support) {
+                    *c += row[sj] * b;
+                }
+            }
+            a22[(ki, ki)] += s2i * diag;
+            for (j, c) in cross.iter().enumerate() {
+                a21[(ki, j * k + ki)] = s2i * c;
+            }
+        }
+        (a21, a22)
     }
 
     /// MAP coefficients (eq. 22) on the bases added so far, `K × |S|` with
@@ -396,24 +406,6 @@ impl<'a> IncrementalBayes<'a> {
         }
         Ok(coeffs)
     }
-}
-
-/// Wraps a (support, coefficients) pair as a predictable model.
-fn assemble_model(
-    problem: &TunableProblem,
-    support: Vec<usize>,
-    coeffs: Matrix,
-) -> Result<PerStateModel, CbmfError> {
-    let intercepts = (0..problem.num_states())
-        .map(|k| problem.intercept_for(k, &support, coeffs.row(k)))
-        .collect();
-    PerStateModel::new(
-        problem.basis_spec(),
-        dictionary_dim(problem),
-        support,
-        coeffs,
-        intercepts,
-    )
 }
 
 #[cfg(test)]
@@ -436,6 +428,70 @@ mod tests {
             ys.push(y);
         }
         TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).unwrap()
+    }
+
+    #[test]
+    fn support_space_matrix_matches_the_dense_gram_assembly() {
+        // N < M and N > M; supports grown one basis at a time, as the
+        // greedy loop does.
+        for &(k, n, d, seed) in &[(3, 6, 15, 70), (2, 20, 7, 71), (4, 9, 30, 72)] {
+            let problem = correlated_problem(k, n, d, seed);
+            let r = toeplitz_r(k, 0.8).unwrap();
+            let sigma0 = 0.3;
+            let mut solver = IncrementalBayes::new(&problem, &r, sigma0).unwrap();
+            let order = [d - 1, 2, 5, 0, d / 2, 1];
+            let t = order.len() * k;
+            // The matrix the solver factors, block row by block row.
+            let mut a = Matrix::zeros(t, t);
+            for (j, &m) in order.iter().enumerate() {
+                let (a21, a22) = solver.new_blocks(m, 1.0);
+                for r_ in 0..k {
+                    for c in 0..j * k {
+                        a[(j * k + r_, c)] = a21[(r_, c)];
+                        a[(c, j * k + r_)] = a21[(r_, c)];
+                    }
+                    for c in 0..k {
+                        a[(j * k + r_, j * k + c)] = a22[(r_, c)];
+                    }
+                }
+                solver.add_basis(m, 1.0).unwrap();
+            }
+            // Dense reference: δ_{jj'}·R⁻¹ + σ0⁻²·δ_{kk'}·(B_kᵀB_k)[m_j, m_j'],
+            // within 4·N·ε·σ0⁻²·(|B_k|ᵀ|B_k|)[m_j, m_j'].
+            let r_inv = Cholesky::new_robust(&r).unwrap().inverse();
+            let s2i = 1.0 / (sigma0 * sigma0);
+            for (ki, st) in problem.states().iter().enumerate() {
+                let g = st.t_gram();
+                let abs = Matrix::from_fn(n, d, |i, j| st.basis[(i, j)].abs());
+                let g_abs = abs.transpose().gram();
+                for (j, &mj) in order.iter().enumerate() {
+                    for (j2, &mj2) in order.iter().enumerate() {
+                        let mut want = s2i * g[(mj, mj2)];
+                        if j == j2 {
+                            want += r_inv[(ki, ki)];
+                        }
+                        let tol = 4.0 * n as f64 * f64::EPSILON * s2i * g_abs[(mj, mj2)];
+                        let got = a[(j * k + ki, j2 * k + ki)];
+                        assert!(
+                            (got - want).abs() <= tol,
+                            "K={k} N={n} state {ki} bases ({mj}, {mj2}): {got} vs {want}"
+                        );
+                    }
+                }
+            }
+            // States do not mix off the diagonal blocks, which are λ⁻¹R⁻¹
+            // plus the likelihood diagonal.
+            for row in 0..t {
+                for col in 0..t {
+                    let (j, ki) = (row / k, row % k);
+                    let (j2, ki2) = (col / k, col % k);
+                    if ki != ki2 {
+                        let want = if j == j2 { r_inv[(ki, ki2)] } else { 0.0 };
+                        assert_eq!(a[(row, col)], want, "entry ({row}, {col})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

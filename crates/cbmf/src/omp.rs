@@ -78,55 +78,66 @@ impl Omp {
         rng: &mut R,
     ) -> Result<PerStateModel, CbmfError> {
         let _span = cbmf_trace::span("omp_fit");
-        if self.config.theta_candidates.is_empty() {
-            return Err(CbmfError::InvalidInput {
-                what: "no sparsity candidates".to_string(),
-            });
-        }
-        let theta = if self.config.theta_candidates.len() == 1 {
-            self.config.theta_candidates[0]
-        } else {
-            self.cross_validate(problem, rng)?
-        };
+        let cfg = &self.config;
+        let theta = choose_theta(
+            problem,
+            &cfg.theta_candidates,
+            cfg.cv_folds,
+            rng,
+            fit_with_theta,
+        )?;
         fit_with_theta(problem, theta)
-    }
-
-    fn cross_validate<R: Rng + ?Sized>(
-        &self,
-        problem: &TunableProblem,
-        rng: &mut R,
-    ) -> Result<usize, CbmfError> {
-        let folds = build_folds(problem, self.config.cv_folds, rng)?;
-        let splits = materialize_splits(problem, &folds, self.config.cv_folds)?;
-        let thetas = &self.config.theta_candidates;
-        // One fit per (θ, fold) pair, all independent: fan them out and
-        // reduce sequentially in candidate order so error sums (and the
-        // winning θ on ties) never depend on the thread count.
-        let cf = self.config.cv_folds;
-        let errs = cbmf_parallel::par_map_indexed(thetas.len() * cf, 1, |idx| {
-            let (train, test) = &splits[idx % cf];
-            let model = fit_with_theta(train, thetas[idx / cf])?;
-            model.modeling_error(test)
-        });
-        let mut errs = errs.into_iter();
-        let mut best = (f64::INFINITY, thetas[0]);
-        for &theta in thetas {
-            let mut err_sum = 0.0;
-            for _ in 0..cf {
-                err_sum += errs.next().expect("one result per (theta, fold)")?;
-            }
-            let err = err_sum / cf as f64;
-            if err < best.0 {
-                best = (err, theta);
-            }
-        }
-        Ok(best.1)
     }
 }
 
+/// The sparsity level θ of a greedy baseline: the only candidate, or the
+/// one with the lowest mean error over `cv_folds` folds. The fits of every
+/// (θ, fold) pair are independent: they fan out in parallel and reduce in
+/// candidate order, so error sums (and the winning θ on ties) never depend
+/// on the thread count.
+pub(crate) fn choose_theta<R, F>(
+    problem: &TunableProblem,
+    thetas: &[usize],
+    cv_folds: usize,
+    rng: &mut R,
+    fit: F,
+) -> Result<usize, CbmfError>
+where
+    R: Rng + ?Sized,
+    F: Fn(&TunableProblem, usize) -> Result<PerStateModel, CbmfError> + Sync,
+{
+    match thetas {
+        [] => {
+            return Err(CbmfError::InvalidInput {
+                what: "no sparsity candidates".to_string(),
+            })
+        }
+        [theta] => return Ok(*theta),
+        _ => {}
+    }
+    let folds = build_folds(problem, cv_folds, rng)?;
+    let splits = materialize_splits(problem, &folds, cv_folds)?;
+    let errs = cbmf_parallel::par_map_indexed(thetas.len() * cv_folds, 1, |idx| {
+        let (train, test) = &splits[idx % cv_folds];
+        fit(train, thetas[idx / cv_folds])?.modeling_error(test)
+    });
+    let mut errs = errs.into_iter();
+    let mut best = (f64::INFINITY, thetas[0]);
+    for &theta in thetas {
+        let mut err_sum = 0.0;
+        for _ in 0..cv_folds {
+            err_sum += errs.next().expect("one result per (theta, fold)")?;
+        }
+        let err = err_sum / cv_folds as f64;
+        if err < best.0 {
+            best = (err, theta);
+        }
+    }
+    Ok(best.1)
+}
+
 /// Materializes every fold's (train, test) split once, so all sparsity and
-/// hyper-parameter candidates reuse the same sub-problems — and with them
-/// the per-state caches of [`StateData`].
+/// hyper-parameter candidates reuse the same sub-problems.
 pub(crate) fn materialize_splits(
     problem: &TunableProblem,
     folds: &[KFold],
@@ -178,12 +189,17 @@ pub(crate) fn split_problem(
 /// Greedy selection scores over the dictionary: `Σ_k |b_mᵀ r_k| / ‖b_m‖_k`
 /// with `r_k = y_k − B_{k,S}·c_k` (eq. 33; one state reproduces plain OMP).
 ///
-/// The residual correlation is expanded through the cached per-state
-/// products, `b_mᵀ r_k = (B_kᵀy_k)[m] − Σ_j (B_kᵀB_k)[m, s_j]·c_{k,j}`, so
-/// one greedy step costs `O(M·|S|·K)` instead of `O(N·M·K)` and no residual
-/// vector is ever formed. The dictionary loop is chunk-parallel; each score
-/// is computed independently and stitched back in index order, so the
-/// result is bitwise identical at any thread count.
+/// Each step forms the residuals and correlates them with every column
+/// straight from the row-major basis, at `O(K·N·(M + |S|))` per step with
+/// no precompute. The paper's regime has `N ≪ M` (Table 1: 15 samples per
+/// state against 1264 bases) and `N` comparable to `|S|`, so this costs
+/// about the `O(K·M·|S|)` of expanding through a cached `B_kᵀB_k`, without
+/// that Gram's `O(K·N·M²)` build or its `M²` floats per state.
+///
+/// The dictionary is split into contiguous chunks that run in parallel.
+/// Every score accumulates over rows in index order and over states in
+/// index order, whatever the chunking, so the result is bitwise identical
+/// at any thread count.
 pub(crate) fn selection_scores(
     num_basis: usize,
     states: &[&StateData],
@@ -196,22 +212,43 @@ pub(crate) fn selection_scores(
         "one coefficient row per state"
     );
     GREEDY_STEPS.inc();
-    // Aim for ~128k flops per spawned chunk; each index costs about
-    // K·(|S| + 2) fused multiply-adds.
-    let per_index = states.len() * (support.len() + 2);
+    let residuals: Vec<Vec<f64>> = states
+        .iter()
+        .zip(coeff_rows)
+        .map(|(st, crow)| {
+            (0..st.len())
+                .map(|i| {
+                    let row = st.basis.row(i);
+                    let mut r = st.y[i];
+                    for (&sj, c) in support.iter().zip(*crow) {
+                        r -= row[sj] * c;
+                    }
+                    r
+                })
+                .collect()
+        })
+        .collect();
+    // Aim for ~128k flops per spawned chunk; each index costs one
+    // multiply-add per sample row of every state.
+    let per_index: usize = states.iter().map(|st| st.len()).sum();
     let grain = (128 * 1024 / per_index.max(1)).max(1);
-    cbmf_parallel::par_map_indexed(num_basis, grain, |mi| {
-        let mut score = 0.0;
-        for (st, crow) in states.iter().zip(coeff_rows) {
-            let mut corr = st.bty()[mi];
-            let gram = st.t_gram();
-            for (&sj, c) in support.iter().zip(*crow) {
-                corr -= gram[(mi, sj)] * c;
+    let mut scores = vec![0.0; num_basis];
+    cbmf_parallel::par_rows_mut(&mut scores, 1, grain, |m0, out| {
+        let cols = m0..m0 + out.len();
+        let mut corr = vec![0.0; out.len()];
+        for (st, r) in states.iter().zip(&residuals) {
+            corr.fill(0.0);
+            for (i, ri) in r.iter().enumerate() {
+                for (c, b) in corr.iter_mut().zip(&st.basis.row(i)[cols.clone()]) {
+                    *c += b * ri;
+                }
             }
-            score += (corr / st.col_norms()[mi]).abs();
+            for ((s, c), norm) in out.iter_mut().zip(&corr).zip(&st.col_norms()[cols.clone()]) {
+                *s += (c / norm).abs();
+            }
         }
-        score
-    })
+    });
+    scores
 }
 
 /// Index of the best-scoring basis not yet selected; `None` when every
@@ -250,8 +287,7 @@ fn fit_with_theta(problem: &TunableProblem, theta: usize) -> Result<PerStateMode
         let mut support: Vec<usize> = Vec::with_capacity(cap);
         let mut coefs = Vec::new();
         for _ in 0..cap {
-            // Correlation of each column with the residual, from the cached
-            // Gram products (residual update of eq. 34 folded in).
+            // Correlation of each column with the residual (eq. 34).
             let scores = selection_scores(m, &[st], &support, &[&coefs]);
             let Some(best) = best_unselected(&scores, &support) else {
                 break; // residual orthogonal to every remaining column
@@ -311,6 +347,84 @@ mod tests {
             TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).unwrap(),
             true_support,
         )
+    }
+
+    /// Dense reference for [`selection_scores`]: the Gram expansion
+    /// `b_mᵀr_k = (B_kᵀy_k)[m] − Σ_j (B_kᵀB_k)[m, s_j]·c_{k,j}` over `‖b_m‖`,
+    /// summed over states, from `t_gram()`. Also returns the rounding bound
+    /// `4·N·ε·(|B|ᵀ|y| + Σ_j (|B|ᵀ|B|)[m, s_j]·|c_j|)/‖b_m‖` the two may
+    /// differ by: the same expansion with every term taken in magnitude, so
+    /// the bound holds even where `B_kᵀy_k` cancels to nearly zero.
+    fn gram_reference(
+        states: &[&StateData],
+        support: &[usize],
+        coeff_rows: &[Vec<f64>],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let m = states[0].basis.cols();
+        let (mut score, mut tol) = (vec![0.0; m], vec![0.0; m]);
+        for (st, crow) in states.iter().zip(coeff_rows) {
+            let g = st.t_gram();
+            let abs = Matrix::from_fn(st.len(), m, |i, j| st.basis[(i, j)].abs());
+            let g_abs = abs.transpose().gram();
+            let y_abs: Vec<f64> = st.y.iter().map(|v| v.abs()).collect();
+            let bty_abs = abs.t_matvec(&y_abs).unwrap();
+            let n = st.len() as f64;
+            for mi in 0..m {
+                let mut corr = st.bty()[mi];
+                let mut mag = bty_abs[mi];
+                for (&sj, c) in support.iter().zip(crow) {
+                    corr -= g[(mi, sj)] * c;
+                    mag += g_abs[(mi, sj)] * c.abs();
+                }
+                score[mi] += (corr / st.col_norms()[mi]).abs();
+                tol[mi] += 4.0 * n * f64::EPSILON * mag / st.col_norms()[mi];
+            }
+        }
+        (score, tol)
+    }
+
+    #[test]
+    fn residual_scores_match_the_dense_gram_expansion() {
+        let mut rng = seeded_rng(90);
+        // (states, samples per state, bases): N < M and N > M.
+        for &(k, n, m) in &[(1, 5, 12), (3, 7, 20), (2, 24, 6), (4, 30, 9), (1, 40, 3)] {
+            for support_len in 0..=6.min(m) {
+                let xs: Vec<Matrix> = (0..k)
+                    .map(|_| Matrix::from_fn(n, m, |_, _| 3.0 * normal::sample(&mut rng) + 1.0))
+                    .collect();
+                let ys: Vec<Vec<f64>> = (0..k)
+                    .map(|_| (0..n).map(|_| 10.0 * normal::sample(&mut rng)).collect())
+                    .collect();
+                let problem = TunableProblem::from_samples(&xs, &ys, BasisSpec::Linear).unwrap();
+                let mut support: Vec<usize> = (0..m).collect();
+                for i in 0..support_len {
+                    let j = i + rng.gen_index(m - i);
+                    support.swap(i, j);
+                }
+                support.truncate(support_len);
+                let coeffs: Vec<Vec<f64>> = (0..k)
+                    .map(|_| {
+                        (0..support_len)
+                            .map(|_| 5.0 * normal::sample(&mut rng))
+                            .collect()
+                    })
+                    .collect();
+                let states: Vec<&StateData> = problem.states().iter().collect();
+                let rows: Vec<&[f64]> = coeffs.iter().map(Vec::as_slice).collect();
+                let scores = selection_scores(m, &states, &support, &rows);
+                let (reference, tol) = gram_reference(&states, &support, &coeffs);
+                for mi in 0..m {
+                    assert!(
+                        (scores[mi] - reference[mi]).abs() <= tol[mi],
+                        "K={k} N={n} M={m} |S|={support_len} basis {mi}: \
+                         {} vs {} (tolerance {})",
+                        scores[mi],
+                        reference[mi],
+                        tol[mi]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,11 @@
 use cbmf_linalg::Matrix;
 use rand::Rng;
 
-use crate::dataset::StateData;
-use crate::dataset::TunableProblem;
+use crate::dataset::{StateData, TunableProblem};
 use crate::error::CbmfError;
 use crate::model::PerStateModel;
 use crate::ols::dictionary_dim;
-use crate::omp::{
-    best_unselected, build_folds, ls_on_support, materialize_splits, selection_scores,
-};
+use crate::omp::{best_unselected, choose_theta, ls_on_support, selection_scores};
 
 /// Configuration for the S-OMP baseline.
 #[derive(Debug, Clone)]
@@ -85,79 +82,39 @@ impl Somp {
         rng: &mut R,
     ) -> Result<PerStateModel, CbmfError> {
         let _span = cbmf_trace::span("somp_fit");
-        if self.config.theta_candidates.is_empty() {
-            return Err(CbmfError::InvalidInput {
-                what: "no sparsity candidates".to_string(),
-            });
-        }
-        let theta = if self.config.theta_candidates.len() == 1 {
-            self.config.theta_candidates[0]
-        } else {
-            let folds = build_folds(problem, self.config.cv_folds, rng)?;
-            let splits = materialize_splits(problem, &folds, self.config.cv_folds)?;
-            let thetas = &self.config.theta_candidates;
-            // Independent (θ, fold) fits run in parallel; the reduction
-            // walks them in candidate order, so the winner is the same at
-            // any thread count.
-            let cf = self.config.cv_folds;
-            let errs = cbmf_parallel::par_map_indexed(thetas.len() * cf, 1, |idx| {
-                let (train, test) = &splits[idx % cf];
-                let model = fit_with_theta(train, thetas[idx / cf])?;
-                model.modeling_error(test)
-            });
-            let mut errs = errs.into_iter();
-            let mut best = (f64::INFINITY, thetas[0]);
-            for &theta in thetas {
-                let mut err_sum = 0.0;
-                for _ in 0..cf {
-                    err_sum += errs.next().expect("one result per (theta, fold)")?;
-                }
-                let err = err_sum / cf as f64;
-                if err < best.0 {
-                    best = (err, theta);
-                }
-            }
-            best.1
-        };
+        let cfg = &self.config;
+        let theta = choose_theta(
+            problem,
+            &cfg.theta_candidates,
+            cfg.cv_folds,
+            rng,
+            fit_with_theta,
+        )?;
         fit_with_theta(problem, theta)
     }
 }
 
-/// Greedy joint selection (eq. 33) of `theta` basis functions, returning the
-/// shared ascending support. Exposed to the C-BMF initializer, which reuses
-/// the identical selection rule but swaps the coefficient solve.
-pub(crate) fn select_support<F>(
-    problem: &TunableProblem,
-    theta: usize,
-    cap_by_samples: bool,
-    mut solve: F,
-) -> Result<(Vec<usize>, Matrix), CbmfError>
-where
-    F: FnMut(&TunableProblem, &[usize]) -> Result<Matrix, CbmfError>,
-{
+/// Greedy joint selection (eq. 33) of up to `theta` basis functions with a
+/// per-state least-squares solve on the shared support after every step.
+/// Each step scores the residuals against the whole dictionary
+/// ([`selection_scores`]), `O(K·N·(M + |S|))`.
+fn fit_with_theta(problem: &TunableProblem, theta: usize) -> Result<PerStateModel, CbmfError> {
     let k = problem.num_states();
     let m = problem.num_basis();
-    // Per-state least squares (S-OMP) needs |support| < N_k; the Bayesian
-    // solve of the C-BMF initializer is regularized and may exceed it.
-    let cap = if cap_by_samples {
-        let min_n = problem
-            .states()
-            .iter()
-            .map(|s| s.len())
-            .min()
-            .expect("nonempty");
-        theta.min(min_n.saturating_sub(1)).max(1).min(m)
-    } else {
-        theta.max(1).min(m)
-    };
+    // Per-state least squares needs |support| < N_k.
+    let min_n = problem
+        .states()
+        .iter()
+        .map(StateData::len)
+        .min()
+        .expect("nonempty");
+    let cap = theta.min(min_n.saturating_sub(1)).max(1).min(m);
 
     let states: Vec<&StateData> = problem.states().iter().collect();
     let mut support: Vec<usize> = Vec::with_capacity(cap);
     let mut coeffs = Matrix::zeros(k, 0);
     for _ in 0..cap {
-        // ξ_{k,m} summed over states (eq. 33) with per-state normalization;
-        // the residual update of eq. 34 lives inside the cached-Gram
-        // identity of `selection_scores`.
+        // ξ_{k,m} summed over states (eq. 33) with per-state normalization.
         let coeff_rows: Vec<&[f64]> = (0..k).map(|ki| coeffs.row(ki)).collect();
         let score = selection_scores(m, &states, &support, &coeff_rows);
         let Some(best) = best_unselected(&score, &support) else {
@@ -165,25 +122,31 @@ where
         };
         support.push(best);
         // Solve the coefficients on the current (unsorted) support.
-        coeffs = solve(problem, &support)?;
+        coeffs = Matrix::zeros(k, support.len());
+        for (ki, st) in states.iter().enumerate() {
+            let sol = ls_on_support(&st.basis, &st.y, &support)?;
+            coeffs.row_mut(ki).copy_from_slice(&sol);
+        }
     }
-    // Sort the support ascending and permute the coefficient columns along.
-    let mut order: Vec<usize> = (0..support.len()).collect();
-    order.sort_by_key(|&i| support[i]);
-    let sorted_support: Vec<usize> = order.iter().map(|&i| support[i]).collect();
-    let sorted_coeffs = coeffs.select_cols(&order);
-    Ok((sorted_support, sorted_coeffs))
+    let (support, coeffs) = sort_by_support(&support, &coeffs);
+    assemble_model(problem, support, coeffs)
 }
 
-fn fit_with_theta(problem: &TunableProblem, theta: usize) -> Result<PerStateModel, CbmfError> {
-    let (support, coeffs) = select_support(problem, theta, true, |p, supp| {
-        let mut c = Matrix::zeros(p.num_states(), supp.len());
-        for (ki, st) in p.states().iter().enumerate() {
-            let sol = ls_on_support(&st.basis, &st.y, supp)?;
-            c.row_mut(ki).copy_from_slice(&sol);
-        }
-        Ok(c)
-    })?;
+/// Sorts a greedy support ascending and permutes the coefficient columns
+/// along.
+pub(crate) fn sort_by_support(support: &[usize], coeffs: &Matrix) -> (Vec<usize>, Matrix) {
+    let mut order: Vec<usize> = (0..support.len()).collect();
+    order.sort_by_key(|&i| support[i]);
+    let sorted: Vec<usize> = order.iter().map(|&i| support[i]).collect();
+    (sorted, coeffs.select_cols(&order))
+}
+
+/// Wraps a shared (support, coefficients) pair as a predictable model.
+pub(crate) fn assemble_model(
+    problem: &TunableProblem,
+    support: Vec<usize>,
+    coeffs: Matrix,
+) -> Result<PerStateModel, CbmfError> {
     let intercepts = (0..problem.num_states())
         .map(|k| problem.intercept_for(k, &support, coeffs.row(k)))
         .collect();

@@ -11,7 +11,7 @@
 //! 2. **Every later chunk** first scores the current model on the incoming,
 //!    never-before-seen samples (an unbiased held-out error estimate that
 //!    costs nothing extra), then absorbs them via
-//!    [`TunableProblem::append_samples`] (rank-k Gram cache extension) and
+//!    [`TunableProblem::append_samples`] (an `O(N·M)` re-centering) and
 //!    refits warm: the sweep winner is reused, greedy selection re-runs on
 //!    the grown data through the incremental `Cholesky::append_block`
 //!    factorization, and EM starts from the previous chunk's refined prior

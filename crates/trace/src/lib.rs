@@ -10,7 +10,7 @@
 //!   `/`-separated path per thread (`fit/init`, `fit/em/iter`, …) and
 //!   aggregate count/total/min/max nanoseconds per path.
 //! - [`Counter`] — named monotone `u64` counters declared as statics at the
-//!   use site (`static HITS: Counter = Counter::new("cbmf.gram_cache.hit");`)
+//!   use site (`static STEPS: Counter = Counter::new("cbmf.greedy.steps");`)
 //!   so the hot path is one relaxed atomic add, with lazy registration into
 //!   the global registry on first use. [`counter`] interns counters whose
 //!   names are only known at runtime (per-model registry tallies).
@@ -144,8 +144,8 @@ fn registry() -> &'static Registry {
 ///
 /// ```
 /// use cbmf_trace::Counter;
-/// static CACHE_HITS: Counter = Counter::new("cbmf.gram_cache.hit");
-/// CACHE_HITS.inc();
+/// static STEPS: Counter = Counter::new("cbmf.greedy.steps");
+/// STEPS.inc();
 /// ```
 ///
 /// The first effective `add` registers the counter in the global registry so

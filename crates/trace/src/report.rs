@@ -9,7 +9,7 @@
 //!
 //! ```json
 //! {
-//!   "counters": {"cbmf.gram_cache.hit": 123, ...},
+//!   "counters": {"cbmf.greedy.steps": 123, ...},
 //!   "gauges": {...},
 //!   "histograms": {"server.request_ns": {"count": ..., "p50_ns": ..., ...}, ...},
 //!   "host": {"arch": "x86_64", "os": "linux", "threads": 8},
