@@ -33,8 +33,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// When a previous corner of the *same* circuit handed over a [`WarmStart`]
 /// whose shape matches this problem, the (r0, σ0, θ) cross-validation sweep
 /// is skipped and EM resumes from that corner's refined λ/R — the
-/// `stream.warm_start_cv_skipped` counter records how many CV evaluations
-/// that saved. A corner of a different circuit (state/basis counts differ)
+/// `stream.warm_start_cv_skipped` counter records how many CV selection
+/// runs that saved. A corner of a different circuit (state/basis counts differ)
 /// stays on the cold path.
 fn fit_one(
     circuit: &(impl Testbench + Sync),
@@ -100,7 +100,7 @@ fn main() {
     let hits = snap.counters.get("stream.warm_start_hits").copied();
     let skipped = snap.counters.get("stream.warm_start_cv_skipped").copied();
     println!(
-        "warm starts: {} corner(s) reused a sibling's hyper-parameters, skipping {} CV evaluations",
+        "warm starts: {} corner(s) reused a sibling's hyper-parameters, skipping {} CV selection runs",
         hits.unwrap_or(0),
         skipped.unwrap_or(0)
     );

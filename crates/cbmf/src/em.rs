@@ -68,6 +68,12 @@ pub struct EmOutcome {
 /// * `R ← (1/M)·Σ_m (Σp^m + μp^m·μp^mᵀ) / λ_m` (eq. 30),
 /// * `σ0² ← (‖y − D·μp‖² + Tr(D·Σp·Dᵀ)) / (N·K)` (eq. 31).
 ///
+/// No per-basis Σp^m is formed. Substituting `Σp^m = λ_m·R − λ_m²·R·T_m·R`
+/// gives `λ'_m = λ_m − λ_m²·⟨T_m, R⟩/K + μ_mᵀR⁻¹μ_m/K`, and R's sum becomes
+/// `R·Σ(λ_m/λ'_m) − R·(Σ(λ_m²/λ'_m)·T_m)·R + Σ μ_mμ_mᵀ/λ'_m`: one solve of
+/// R against every μ_m, two K×K×K products and one weighted K×K Gram per
+/// iteration.
+///
 /// Robustness beyond the paper's pseudocode: the scale ambiguity between λ
 /// and R (only their product enters the prior) is fixed by renormalizing R
 /// to unit mean diagonal each iteration, R is eigen-projected back to the
@@ -142,51 +148,66 @@ impl EmRefiner {
         k: usize,
     ) -> Result<CbmfPrior, CbmfError> {
         let m = prior.num_basis();
-        let r_chol = Cholesky::new_robust(prior.r())?;
+        let (lambda, r) = (prior.lambda(), prior.r());
+        let kf = k as f64;
+        let (active, t_active): (Vec<usize>, Vec<&Matrix>) = moments
+            .t_blocks
+            .iter()
+            .enumerate()
+            .filter_map(|(mi, t)| Some((mi, t.as_ref()?)))
+            .unzip();
+        // μ_m = column m of the coefficients; μ_mᵀR⁻¹μ_m for every active
+        // basis from one multi-right-hand-side solve.
+        let mu = moments.coeffs.select_cols(&active);
+        let rinv_mu = Cholesky::new_robust(r)?.solve_mat(&mu)?;
 
         // λ update (eq. 29) for the active bases; pruned bases stay floored.
+        // With S_m = Σp^m + μ_mμ_mᵀ and Σp^m = λ_m·R − λ_m²·R·T_m·R,
+        // Tr(R⁻¹·S_m)/K = λ_m − λ_m²·⟨T_m, R⟩/K + μ_mᵀR⁻¹μ_m/K.
         let mut lambda_new = vec![CbmfPrior::LAMBDA_FLOOR; m];
-        let mut second_moments: Vec<Option<Matrix>> = vec![None; m];
-        for mi in 0..m {
-            let Some(sigma) = &moments.sigma_blocks[mi] else {
-                continue;
-            };
-            // S_m = Σp^m + μ_m μ_mᵀ.
-            let mu = moments.mean_blocks.row(mi);
-            let mut s = sigma.clone();
-            for a in 0..k {
-                for b in 0..k {
-                    s[(a, b)] += mu[a] * mu[b];
-                }
-            }
-            // Tr(R⁻¹ S) = Σ_cols eᵢᵀ R⁻¹ S eᵢ — solve column-wise.
-            let rinv_s = r_chol.solve_mat(&s)?;
-            let lam = rinv_s.trace() / k as f64;
+        for (j, (&mi, t)) in active.iter().zip(&t_active).enumerate() {
+            let t_dot_r: f64 = t
+                .as_slice()
+                .iter()
+                .zip(r.as_slice())
+                .map(|(a, b)| a * b)
+                .sum();
+            let mu_rinv_mu: f64 = (0..k).map(|ki| mu[(ki, j)] * rinv_mu[(ki, j)]).sum();
+            let lm = lambda[mi];
+            let lam = lm - lm * lm * t_dot_r / kf + mu_rinv_mu / kf;
             // Degenerate data (e.g. exactly noise-free responses) can push
             // the updates outside the representable range; hold the old
             // value rather than poisoning the prior.
             lambda_new[mi] = if lam.is_finite() {
                 lam.max(CbmfPrior::LAMBDA_FLOOR)
             } else {
-                prior.lambda()[mi]
+                lm
             };
-            second_moments[mi] = Some(s);
         }
 
-        // R update (eq. 30) over the active bases with the *new* λ.
+        // R update (eq. 30) over the active bases with the *new* λ:
+        // Σ_m S_m/λ'_m = R·Σ(λ_m/λ'_m) − R·(Σ(λ_m²/λ'_m)·T_m)·R
+        //               + Σ μ_mμ_mᵀ/λ'_m,
+        // two K×K×K products in total.
         let r_new = if self.config.learn_r {
-            let mut r_new = Matrix::zeros(k, k);
-            let mut active_count = 0usize;
-            for (mi, s) in second_moments.iter().enumerate() {
-                let Some(s) = s else { continue };
-                r_new += &s.scaled(1.0 / lambda_new[mi]);
-                active_count += 1;
-            }
-            let mut r_new = if active_count == 0 {
-                prior.r().clone()
+            let mut r_new = if active.is_empty() {
+                r.clone()
             } else {
-                r_new.scale_mut(1.0 / active_count as f64);
-                r_new
+                let mut scale = 0.0;
+                let mut t_sum = Matrix::zeros(k, k);
+                for (&mi, t) in active.iter().zip(&t_active) {
+                    let (lm, ln) = (lambda[mi], lambda_new[mi]);
+                    scale += lm / ln;
+                    let w = lm * lm / ln;
+                    for (acc, tv) in t_sum.as_mut_slice().iter_mut().zip(t.as_slice()) {
+                        *acc += w * tv;
+                    }
+                }
+                let inv_new: Vec<f64> = active.iter().map(|&mi| 1.0 / lambda_new[mi]).collect();
+                let rtr = r.matmul(&t_sum)?.matmul(r)?;
+                let mut sum = &(&r.scaled(scale) - &rtr) + &mu.weighted_gram(&inv_new)?;
+                sum.scale_mut(1.0 / active.len() as f64);
+                sum
             };
             // Fix the λ·R scale ambiguity: unit mean diagonal on R.
             let diag_mean = (r_new.trace() / k as f64).max(1e-300);
@@ -199,10 +220,10 @@ impl EmRefiner {
             if r_new.is_finite() {
                 project_pd_relative(&r_new.symmetrized(), self.config.r_pd_floor)?
             } else {
-                prior.r().clone()
+                r.clone()
             }
         } else {
-            prior.r().clone()
+            r.clone()
         };
 
         // σ0 update (eq. 31).

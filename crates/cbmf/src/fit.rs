@@ -21,8 +21,8 @@ static FALLBACK_SOMP: Counter = Counter::new("recovery.fallback_somp");
 /// Warm-started fits ([`CbmfFit::fit_warm`]): the (r0, σ0, θ) sweep and the
 /// EM starting prior were reused from an earlier fit instead of recomputed.
 static WARM_START_HITS: Counter = Counter::new("stream.warm_start_hits");
-/// Greedy (candidate × fold) cross-validation evaluations skipped by warm
-/// starts — the selection runs a cold [`CbmfFit::fit`] would have paid.
+/// Greedy cross-validation selection runs skipped by warm starts — the
+/// (r0, σ0, fold) selections a cold [`CbmfFit::fit`] would have paid.
 static WARM_START_CV_SKIPPED: Counter = Counter::new("stream.warm_start_cv_skipped");
 
 /// End-to-end configuration of the C-BMF pipeline (Algorithm 1).
@@ -353,8 +353,8 @@ impl CbmfFit {
     /// better EM start than step 17). Greedy selection is still re-run on
     /// `problem` — the support may change as data grows — and the full
     /// degradation ladder applies unchanged. Each call counts one
-    /// `stream.warm_start_hits` and the skipped (candidate × fold)
-    /// evaluations on `stream.warm_start_cv_skipped`.
+    /// `stream.warm_start_hits` and the skipped (r0, σ0, fold) selection
+    /// runs on `stream.warm_start_cv_skipped`.
     ///
     /// # Errors
     ///

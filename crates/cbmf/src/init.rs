@@ -17,7 +17,7 @@ static INIT_APPEND_STEPS: Counter = Counter::new("cbmf.init.append_block_steps")
 /// Greedy steps that built the factor from scratch (the first basis of each
 /// selection run; anything beyond that signals a lost incremental reuse).
 static INIT_REFACTOR_STEPS: Counter = Counter::new("cbmf.init.refactor_steps");
-/// Full greedy selection runs (one per (candidate, fold) plus the final
+/// Full greedy selection runs (one per (r0, σ0, fold) plus the final
 /// full-train re-selection).
 static INIT_SELECTIONS: Counter = Counter::new("cbmf.init.selection_runs");
 
@@ -140,35 +140,42 @@ impl SompInitializer {
         // (r0, σ0, θ) candidate shares the same materialized sub-problems.
         let folds = build_folds(problem, self.grid.cv_folds, rng)?;
         let splits = materialize_splits(problem, &folds, self.grid.cv_folds)?;
-        let mut cands: Vec<(f64, f64, usize)> = Vec::new();
+        let mut paths: Vec<(f64, f64)> = Vec::new();
         for &r0 in &self.grid.r0 {
             for &srel in &self.grid.sigma_rel {
-                for &theta in &self.grid.theta {
-                    cands.push((r0, srel * sigma_base, theta));
-                }
+                paths.push((r0, srel * sigma_base));
             }
         }
-        // One greedy selection per (candidate, fold), all independent. The
-        // reduction walks the results in grid order, so the winning
-        // candidate (ties included) is the same at any thread count.
+        // The candidates (r0, σ0, θ) differ from each other in θ only by
+        // where the greedy path stops, so one selection per (r0, σ0, fold)
+        // runs to the largest θ and snapshots the model at every grid θ —
+        // the same bits as one selection per θ. The runs are independent;
+        // the reduction walks them in grid order, so the winning candidate
+        // (ties included) is the same at any thread count.
         let cf = self.grid.cv_folds;
-        let errs = cbmf_parallel::par_map_indexed(cands.len() * cf, 1, |idx| {
-            let (r0, sigma0, theta) = cands[idx / cf];
+        let thetas = &self.grid.theta;
+        let errs = cbmf_parallel::par_map_indexed(paths.len() * cf, 1, |idx| {
+            let (r0, sigma0) = paths[idx / cf];
             let (train, test) = &splits[idx % cf];
-            let (support, coeffs) = select_with_bayes(train, theta, r0, sigma0)?;
-            let model = assemble_model(train, support, coeffs)?;
-            model.modeling_error(test)
+            select_with_bayes(train, thetas, r0, sigma0)?
+                .into_iter()
+                .map(|(support, coeffs)| {
+                    assemble_model(train, support, coeffs)?.modeling_error(test)
+                })
+                .collect::<Result<Vec<f64>, CbmfError>>()
         });
-        let mut errs = errs.into_iter();
+        let errs = errs.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut best: Option<(f64, f64, f64, usize)> = None; // (err, r0, σ0, θ)
-        for &(r0, sigma0, theta) in &cands {
-            let mut err_sum = 0.0;
-            for _ in 0..cf {
-                err_sum += errs.next().expect("one result per (candidate, fold)")?;
-            }
-            let err = err_sum / cf as f64;
-            if best.is_none_or(|(e, ..)| err < e) {
-                best = Some((err, r0, sigma0, theta));
+        for (p, &(r0, sigma0)) in paths.iter().enumerate() {
+            for (ti, &theta) in thetas.iter().enumerate() {
+                let mut err_sum = 0.0;
+                for fold_errs in &errs[p * cf..(p + 1) * cf] {
+                    err_sum += fold_errs[ti];
+                }
+                let err = err_sum / cf as f64;
+                if best.is_none_or(|(e, ..)| err < e) {
+                    best = Some((err, r0, sigma0, theta));
+                }
             }
         }
         let (cv_error, r0, sigma0, theta) = best.expect("grid verified non-empty");
@@ -202,12 +209,9 @@ impl SompInitializer {
     }
 
     /// Greedy selections a full [`Self::initialize`] sweep performs and a
-    /// warm start skips: one per (candidate, fold) pair.
+    /// warm start skips: one per (r0, σ0, fold), shared by every θ.
     pub fn cv_evaluations(&self) -> u64 {
-        (self.grid.r0.len()
-            * self.grid.sigma_rel.len()
-            * self.grid.theta.len()
-            * self.grid.cv_folds) as u64
+        (self.grid.r0.len() * self.grid.sigma_rel.len() * self.grid.cv_folds) as u64
     }
 
     /// Steps 16–17: re-select on the full training set with the winning
@@ -227,7 +231,9 @@ impl SompInitializer {
         cv_error: f64,
     ) -> Result<InitOutcome, CbmfError> {
         let k = problem.num_states();
-        let (support, coeffs) = select_with_bayes(problem, theta, r0, sigma0)?;
+        let (support, coeffs) = select_with_bayes(problem, &[theta], r0, sigma0)?
+            .pop()
+            .expect("one snapshot per θ");
         let m = problem.num_basis();
         let r = toeplitz_r(k, r0)?;
         let r_chol = Cholesky::new_robust(&r)?;
@@ -260,23 +266,28 @@ impl SompInitializer {
 /// (Algorithm 1 steps 5–11): at every step the coefficients over the
 /// current support come from the MAP posterior under R(r0) with λ = 1 on
 /// the selected bases.
+///
+/// One greedy path serves every sparsity level: the path runs to the
+/// largest of `thetas` and returns the (support, coefficients) it held
+/// after `θ` steps for each `θ`, in the order given.
 fn select_with_bayes(
     problem: &TunableProblem,
-    theta: usize,
+    thetas: &[usize],
     r0: f64,
     sigma0: f64,
-) -> Result<(Vec<usize>, Matrix), CbmfError> {
+) -> Result<Vec<(Vec<usize>, Matrix)>, CbmfError> {
     INIT_SELECTIONS.inc();
     let k = problem.num_states();
     let m = problem.num_basis();
     let r = toeplitz_r(k, r0)?;
-    let cap = theta.max(1).min(m);
+    let caps: Vec<usize> = thetas.iter().map(|t| t.max(&1).min(&m)).copied().collect();
 
     let mut solver = IncrementalBayes::new(problem, &r, sigma0)?;
     let states: Vec<&StateData> = problem.states().iter().collect();
-    let mut support: Vec<usize> = Vec::with_capacity(cap);
+    let mut support: Vec<usize> = Vec::new();
     let mut coeffs = Matrix::zeros(k, 0);
-    for _ in 0..cap {
+    let mut snapshots: Vec<Option<(Vec<usize>, Matrix)>> = vec![None; caps.len()];
+    for _ in 0..caps.iter().copied().max().unwrap_or(0) {
         // ξ summed over states (eq. 33), per-state normalized.
         let coeff_rows: Vec<&[f64]> = (0..k).map(|ki| coeffs.row(ki)).collect();
         let score = selection_scores(m, &states, &support, &coeff_rows);
@@ -286,8 +297,18 @@ fn select_with_bayes(
         support.push(best);
         solver.add_basis(best, 1.0)?;
         coeffs = solver.coefficients()?;
+        for (snap, &cap) in snapshots.iter_mut().zip(&caps) {
+            if cap == support.len() {
+                *snap = Some(sort_by_support(&support, &coeffs));
+            }
+        }
     }
-    Ok(sort_by_support(&support, &coeffs))
+    // A path that ran out of candidates ends early: every larger θ keeps
+    // the final support.
+    Ok(snapshots
+        .into_iter()
+        .map(|snap| snap.unwrap_or_else(|| sort_by_support(&support, &coeffs)))
+        .collect())
 }
 
 /// Incrementally factored *support-space* posterior for the greedy loop.
@@ -565,8 +586,27 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(warm.cv_error.is_nan(), "no sweep ran");
-        // small(): 2 r0 × 1 σ × 3 θ × 3 folds = 18 selections skipped.
-        assert_eq!(init.cv_evaluations(), 18);
+        // small(): 2 r0 × 1 σ × 3 folds = 6 selections skipped.
+        assert_eq!(init.cv_evaluations(), 6);
+    }
+
+    #[test]
+    fn one_greedy_path_matches_one_selection_per_theta() {
+        let problem = correlated_problem(3, 10, 8, 66);
+        // Unsorted, repeated, and past the dictionary size (capped at M).
+        let thetas = [4, 1, 12, 4, 2];
+        let path = select_with_bayes(&problem, &thetas, 0.7, 0.2).unwrap();
+        for (&theta, (support, coeffs)) in thetas.iter().zip(&path) {
+            let (want_s, want_c) = select_with_bayes(&problem, &[theta], 0.7, 0.2)
+                .unwrap()
+                .pop()
+                .unwrap();
+            assert_eq!(support, &want_s, "θ = {theta}");
+            assert_eq!(support.len(), theta.min(8));
+            for (a, b) in coeffs.as_slice().iter().zip(want_c.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "θ = {theta}");
+            }
+        }
     }
 
     #[test]
@@ -575,8 +615,8 @@ mod tests {
         // regularization (big σ0) the Bayesian coefficients must be shrunk
         // relative to the least-squares S-OMP ones.
         let problem = correlated_problem(3, 10, 8, 63);
-        let (_, coeffs_bayes) = select_with_bayes(&problem, 2, 0.9, 5.0).unwrap();
-        let (_, coeffs_light) = select_with_bayes(&problem, 2, 0.9, 1e-4).unwrap();
+        let (_, coeffs_bayes) = select_with_bayes(&problem, &[2], 0.9, 5.0).unwrap()[0].clone();
+        let (_, coeffs_light) = select_with_bayes(&problem, &[2], 0.9, 1e-4).unwrap()[0].clone();
         assert!(
             coeffs_bayes.max_abs() < coeffs_light.max_abs(),
             "large σ0 must shrink coefficients"

@@ -5,7 +5,8 @@ use crate::dataset::TunableProblem;
 use crate::error::CbmfError;
 use crate::prior::CbmfPrior;
 
-/// Coefficient-only posterior solves (the initializer's cheap path).
+/// Coefficient-only posterior solves (the MAP coefficients under the final
+/// prior, one per EM refinement).
 static POSTERIOR_COEFF_SOLVES: Counter = Counter::new("cbmf.posterior.coeff_solves");
 /// Full-moment posterior solves (one per EM iteration).
 static POSTERIOR_MOMENT_SOLVES: Counter = Counter::new("cbmf.posterior.moment_solves");
@@ -27,15 +28,18 @@ static POSTERIOR_RCOND: Gauge = Gauge::new("cbmf.posterior.rcond_estimate");
 /// C[(k,n),(k',n')] = σ0²·δ + R[k,k'] · Σ_m λ_m · b_m(x_k⁽ⁿ⁾)·b_m(x_{k'}⁽ⁿ'⁾),
 /// ```
 ///
-/// which is factored once per call:
+/// assembled from one weighted Gram of the active basis rows of every
+/// state stacked state-major (`NK × |active|`), whose block `(k,k')` is then
+/// scaled by `R[k,k']`, and factored once per call:
 ///
 /// * MAP coefficients (eq. 22): `α_{k,m} = λ_m · Σ_{k'} R[k,k'] · g_m[k']`
 ///   with `g_m[k'] = b_{m,k'}ᵀ (C⁻¹y)_{k'}` — one Cholesky solve total.
-/// * Posterior block covariances for EM (the K×K diagonal blocks of Σp):
-///   `Σp^m = λ_m·R − λ_m²·R·T_m·R` with
-///   `T_m[k,k'] = b_{m,k}ᵀ (C⁻¹)_{k,k'} b_{m,k'}`.
-/// * The σ0 update's trace term via the exact identity
-///   `Tr(D Σp Dᵀ) = Tr(P) − Tr(P·C⁻¹·P)` with `P = C − σ0²·I`.
+/// * For EM, the K×K matrices `T_m[k,k'] = b_{m,k}ᵀ (C⁻¹)_{k,k'} b_{m,k'}`,
+///   one product per state `k'` against the `C⁻¹` rows of states `≤ k'`.
+///   The posterior block covariance `Σp^m = λ_m·R − λ_m²·R·T_m·R` is never
+///   formed: the M-step needs only `⟨T_m, R⟩` and `Σ_m w_m·T_m`.
+/// * The σ0 update's trace term in closed form,
+///   `Tr(D Σp Dᵀ) = σ0²·(NK − σ0²·Tr C⁻¹)`.
 ///
 /// Basis functions whose λ sits at the floor are skipped when assembling
 /// `C` (they contribute nothing above round-off), which is what makes full-
@@ -44,16 +48,16 @@ static POSTERIOR_RCOND: Gauge = Gauge::new("cbmf.posterior.rcond_estimate");
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MapPosterior;
 
-/// Full posterior moments needed by the EM M-step.
+/// Posterior moments needed by the EM M-step.
 #[derive(Debug, Clone)]
 pub struct PosteriorMoments {
-    /// MAP coefficients, `K × M` (eq. 22 rearranged per state).
+    /// MAP coefficients, `K × M` (eq. 22 rearranged per state); column m is
+    /// the posterior mean block `μp^m`.
     pub coeffs: Matrix,
-    /// Per-basis posterior mean blocks `μp^m` as rows: `M × K`.
-    pub mean_blocks: Matrix,
-    /// Per-basis K×K posterior covariance blocks `Σp^m`; only computed for
-    /// the λ-active basis functions, `None` entries are pruned bases.
-    pub sigma_blocks: Vec<Option<Matrix>>,
+    /// Per-basis K×K matrices `T_m = B_mᵀ·C⁻¹·B_m` (bitwise symmetric); only
+    /// computed for the λ-active basis functions, `None` entries are pruned
+    /// bases.
+    pub t_blocks: Vec<Option<Matrix>>,
     /// `Tr(D Σp Dᵀ)` for the σ0 update (eq. 31).
     pub resid_trace: f64,
     /// `‖y − D·μp‖²` over all states.
@@ -69,8 +73,7 @@ impl MapPosterior {
     /// assembling C.
     const ACTIVE_EPS: f64 = 1e-10;
 
-    /// Solves only the MAP coefficients (eq. 22) — the cheap path used at
-    /// every greedy step of the Algorithm-1 initializer.
+    /// Solves only the MAP coefficients (eq. 22).
     ///
     /// # Errors
     ///
@@ -88,8 +91,8 @@ impl MapPosterior {
         ctx.coefficients(problem, prior)
     }
 
-    /// Solves the full posterior moments (mean blocks, active covariance
-    /// blocks, traces) — the per-iteration E-step of the EM refiner.
+    /// Solves the posterior moments (coefficients, the active `T_m`,
+    /// traces) — the per-iteration E-step of the EM refiner.
     ///
     /// # Errors
     ///
@@ -105,58 +108,35 @@ impl MapPosterior {
         let k = problem.num_states();
         let m = problem.num_basis();
         let coeffs = ctx.coefficients(problem, prior)?;
-
-        // mean_blocks[m][k] = coeffs[k][m].
-        let mut mean_blocks = Matrix::zeros(m, k);
-        for ki in 0..k {
-            for mi in 0..m {
-                mean_blocks[(mi, ki)] = coeffs[(ki, mi)];
-            }
-        }
-
-        // C⁻¹, then T_m for every active basis.
         let cinv = ctx.chol.inverse();
-        let lambda = prior.lambda();
-        let lmax = lambda.iter().copied().fold(0.0_f64, f64::max);
-        let active: Vec<bool> = lambda
-            .iter()
-            .map(|&l| l > Self::ACTIVE_EPS * lmax)
-            .collect();
 
-        let mut t_blocks: Vec<Option<Matrix>> = (0..m)
-            .map(|mi| active[mi].then(|| Matrix::zeros(k, k)))
-            .collect();
-        for ka in 0..k {
-            for kb in ka..k {
-                // Q = (C⁻¹) block (ka, kb); W = Q · B_kb  (N_a × M).
-                let (oa, na) = (ctx.offsets[ka], ctx.counts[ka]);
-                let (ob, nb) = (ctx.offsets[kb], ctx.counts[kb]);
-                let q = cinv.block(oa, oa + na, ob, ob + nb);
-                let w = q.matmul(&problem.states()[kb].basis)?;
-                let ba = &problem.states()[ka].basis;
-                for (mi, t) in t_blocks.iter_mut().enumerate() {
-                    let Some(t) = t else { continue };
-                    let mut acc = 0.0;
-                    for n in 0..na {
-                        acc += ba[(n, mi)] * w[(n, mi)];
+        // T_m for every active basis, one product per state b:
+        // W_b = (C⁻¹)[rows of states ≤ b, block b] · B_b, then
+        // T_m[a,b] = Σ_{n∈a} B_a[n,m]·W_b[n,m] for a ≤ b, mirrored.
+        let active = &ctx.active;
+        let mut t_active = vec![Matrix::zeros(k, k); active.len()];
+        let mut acc = vec![0.0; active.len()];
+        for kb in 0..k {
+            let (ob, end) = (ctx.offsets[kb], ctx.offsets[kb] + ctx.counts[kb]);
+            let bb = problem.states()[kb].basis.select_cols(active);
+            let w = cinv.block(0, end, ob, end).matmul(&bb)?;
+            for (ka, st) in problem.states()[..=kb].iter().enumerate() {
+                acc.fill(0.0);
+                for n in 0..st.len() {
+                    let (b, wrow) = (st.basis.row(n), w.row(ctx.offsets[ka] + n));
+                    for ((s, &mi), wv) in acc.iter_mut().zip(active).zip(wrow) {
+                        *s += b[mi] * wv;
                     }
-                    t[(ka, kb)] = acc;
-                    t[(kb, ka)] = acc;
+                }
+                for (t, &s) in t_active.iter_mut().zip(&acc) {
+                    t[(ka, kb)] = s;
+                    t[(kb, ka)] = s;
                 }
             }
         }
-        // Σp^m = λ_m·R − λ_m²·R·T_m·R.
-        let r = prior.r();
-        let mut sigma_blocks: Vec<Option<Matrix>> = Vec::with_capacity(m);
-        for (mi, t) in t_blocks.into_iter().enumerate() {
-            let Some(t) = t else {
-                sigma_blocks.push(None);
-                continue;
-            };
-            let rt = r.matmul(&t)?;
-            let rtr = rt.matmul(r)?;
-            let lm = lambda[mi];
-            sigma_blocks.push(Some((&r.scaled(lm) - &rtr.scaled(lm * lm)).symmetrized()));
+        let mut t_blocks: Vec<Option<Matrix>> = vec![None; m];
+        for (&mi, t) in active.iter().zip(t_active) {
+            t_blocks[mi] = Some(t);
         }
 
         // Residual norm ‖y − Dμ‖² per state.
@@ -168,54 +148,21 @@ impl MapPosterior {
             }
         }
 
-        // Tr(DΣpDᵀ) = Tr(P) − Tr(P·C⁻¹·P), P = C − σ0²I. With C = L·Lᵀ,
-        // Tr(P·C⁻¹·P) = ‖L⁻¹·P‖_F², computed column-by-column with forward
-        // substitution — ~4× cheaper than forming C⁻¹·P.
-        let nk = ctx.total;
+        // Tr(DΣpDᵀ) = Tr(P) − Tr(P·C⁻¹·P) with P = C − σ0²I, which expands
+        // to σ0²·(NK − σ0²·Tr C⁻¹). Since C ⪰ σ0²I it is non-negative up to
+        // rounding.
+        let nk = ctx.total as f64;
         let s2 = prior.sigma0() * prior.sigma0();
-        let mut p = ctx.c.clone();
-        p.add_diag_mut(-s2);
-        // The per-column substitutions are independent; the final trace adds
-        // the per-column sums sequentially in column order, so the reduction
-        // order — and hence the result, bitwise — matches the serial loop at
-        // any thread count.
-        let grain = (256 * 1024 / (nk * nk).max(1)).max(1);
-        let col_sums = cbmf_parallel::par_map_indexed(nk, grain, |j| {
-            let w = ctx.chol.forward_solve(&p.col(j))?;
-            Ok::<f64, CbmfError>(w.iter().map(|v| v * v).sum::<f64>())
-        });
-        let mut tr_pcp = 0.0;
-        for s in col_sums {
-            tr_pcp += s?;
-        }
-        let resid_trace = (p.trace() - tr_pcp).max(0.0);
-
-        let neg_log_marginal = ctx.quad + ctx.chol.logdet();
+        let resid_trace = (s2 * (nk - s2 * cinv.trace())).max(0.0);
 
         Ok(PosteriorMoments {
             coeffs,
-            mean_blocks,
-            sigma_blocks,
+            t_blocks,
             resid_trace,
             resid_norm_sq,
-            neg_log_marginal,
-            total_samples: nk,
+            neg_log_marginal: ctx.quad + ctx.chol.logdet(),
+            total_samples: ctx.total,
         })
-    }
-
-    /// Negative log marginal likelihood (eq. 25) only — for convergence
-    /// monitoring and tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MapPosterior::solve_coefficients`].
-    pub fn neg_log_marginal(
-        &self,
-        problem: &TunableProblem,
-        prior: &CbmfPrior,
-    ) -> Result<f64, CbmfError> {
-        let ctx = Context::build(problem, prior)?;
-        Ok(ctx.quad + ctx.chol.logdet())
     }
 }
 
@@ -558,12 +505,13 @@ pub struct PredictiveParts {
 
 /// The factored observation-space system shared by all posterior queries.
 struct Context {
-    c: Matrix,
     chol: Cholesky,
     /// C⁻¹·y.
     ciy: Vec<f64>,
     /// yᵀ·C⁻¹·y.
     quad: f64,
+    /// Active (non-floored) basis indices.
+    active: Vec<usize>,
     offsets: Vec<usize>,
     counts: Vec<usize>,
     total: usize,
@@ -585,9 +533,11 @@ impl Context {
         }
         let counts: Vec<usize> = problem.states().iter().map(|s| s.len()).collect();
         let mut offsets = Vec::with_capacity(k);
+        let mut state_of_row = Vec::new();
         let mut total = 0;
-        for &n in &counts {
+        for (ki, &n) in counts.iter().enumerate() {
             offsets.push(total);
+            state_of_row.resize(total + n, ki);
             total += n;
         }
 
@@ -598,51 +548,28 @@ impl Context {
             .filter(|&mi| lambda[mi] > MapPosterior::ACTIVE_EPS * lmax)
             .collect();
 
-        // Per state: scaled basis G_k = B_k[:, active] · diag(λ_active) and
-        // the plain restriction B_k[:, active].
-        let mut scaled: Vec<Matrix> = Vec::with_capacity(k);
-        let mut plain: Vec<Matrix> = Vec::with_capacity(k);
-        for st in problem.states() {
-            let b = st.basis.select_cols(&active);
-            let mut g = b.clone();
-            for i in 0..g.rows() {
-                for (j, &mi) in active.iter().enumerate() {
-                    g[(i, j)] *= lambda[mi];
-                }
+        // C = R ∘ (B Λ Bᵀ) + σ0²I from one weighted Gram of the active
+        // basis rows of every state stacked state-major (NK × |active|),
+        // with block (a,b) then scaled by R[a,b]. The lower triangle is
+        // scaled and mirrored, so C is symmetric to the bit whatever the
+        // rounding of R.
+        let mut c = {
+            let mut basis = Matrix::zeros(total, active.len());
+            for (st, &o) in problem.states().iter().zip(&offsets) {
+                basis.set_block(o, 0, &st.basis.select_cols(&active));
             }
-            plain.push(b);
-            scaled.push(g);
-        }
-
-        // Assemble C blockwise. Diagonal blocks B_k Λ B_kᵀ go through the
-        // symmetric gram kernel, which mirrors its lower triangle exactly;
-        // off-diagonal blocks are mirrored explicitly below. C is therefore
-        // symmetric to the bit with no whole-matrix symmetrization pass.
-        let s2 = prior.sigma0() * prior.sigma0();
+            let lam_active: Vec<f64> = active.iter().map(|&mi| lambda[mi]).collect();
+            basis.weighted_gram(&lam_active)?
+        };
         let r = prior.r();
-        let lam_active: Vec<f64> = active.iter().map(|&mi| lambda[mi]).collect();
-        let mut c = Matrix::zeros(total, total);
-        for ka in 0..k {
-            for kb in ka..k {
-                let gram = if ka == kb {
-                    plain[ka].weighted_gram(&lam_active)? // B_k Λ B_kᵀ
-                } else {
-                    scaled[ka].matmul_t(&plain[kb])? // B_a Λ B_bᵀ
-                };
-                let rho = r[(ka, kb)];
-                let (oa, ob) = (offsets[ka], offsets[kb]);
-                for i in 0..counts[ka] {
-                    for j in 0..counts[kb] {
-                        let v = rho * gram[(i, j)];
-                        c[(oa + i, ob + j)] = v;
-                        if ka != kb {
-                            c[(ob + j, oa + i)] = v;
-                        }
-                    }
-                }
+        for i in 0..total {
+            for j in 0..=i {
+                let v = r[(state_of_row[i], state_of_row[j])] * c[(i, j)];
+                c[(i, j)] = v;
+                c[(j, i)] = v;
             }
         }
-        c.add_diag_mut(s2);
+        c.add_diag_mut(prior.sigma0() * prior.sigma0());
 
         let chol = Cholesky::new_robust(&c)?;
         POSTERIOR_RCOND.set(chol.rcond_estimate());
@@ -650,10 +577,10 @@ impl Context {
         let ciy = chol.solve_vec(&y)?;
         let quad = y.iter().zip(&ciy).map(|(a, b)| a * b).sum();
         Ok(Context {
-            c,
             chol,
             ciy,
             quad,
+            active,
             offsets,
             counts,
             total,
@@ -826,30 +753,26 @@ mod tests {
         let prior = CbmfPrior::with_toeplitz_r(vec![1.0, 0.5, 1e-13, 0.8], 3, 0.8, 0.3).unwrap();
         let mom = MapPosterior.solve_moments(&problem, &prior).unwrap();
         assert_eq!(mom.coeffs.shape(), (3, 4));
-        assert_eq!(mom.mean_blocks.shape(), (4, 3));
-        assert_eq!(mom.sigma_blocks.len(), 4);
-        assert!(mom.sigma_blocks[2].is_none(), "floored basis is pruned");
-        for (mi, s) in mom.sigma_blocks.iter().enumerate() {
-            if let Some(s) = s {
-                // Posterior covariance blocks must be PSD (allow jitter).
-                let eig = cbmf_linalg::SymEigen::new(s).unwrap();
-                assert!(
-                    eig.min_eigenvalue() > -1e-8,
-                    "sigma block {mi} min eig {}",
-                    eig.min_eigenvalue()
-                );
-            }
+        assert_eq!(mom.t_blocks.len(), 4);
+        assert!(mom.t_blocks[2].is_none(), "floored basis is pruned");
+        let r = prior.r();
+        for (mi, t) in mom.t_blocks.iter().enumerate() {
+            let Some(t) = t else { continue };
+            // Σp^m = λ_m·R − λ_m²·R·T_m·R must be PSD (allow jitter).
+            let lm = prior.lambda()[mi];
+            let rtr = r.matmul(t).unwrap().matmul(r).unwrap();
+            let sigma = (&r.scaled(lm) - &rtr.scaled(lm * lm)).symmetrized();
+            let eig = cbmf_linalg::SymEigen::new(&sigma).unwrap();
+            assert!(
+                eig.min_eigenvalue() > -1e-8,
+                "sigma block {mi} min eig {}",
+                eig.min_eigenvalue()
+            );
         }
         assert!(mom.resid_trace >= 0.0);
         assert!(mom.resid_norm_sq >= 0.0);
         assert!(mom.neg_log_marginal.is_finite());
         assert_eq!(mom.total_samples, 30);
-        // mean_blocks and coeffs carry the same numbers.
-        for k in 0..3 {
-            for m in 0..4 {
-                assert_eq!(mom.coeffs[(k, m)], mom.mean_blocks[(m, k)]);
-            }
-        }
     }
 
     /// The marginal likelihood must prefer the true noise level over a
@@ -860,8 +783,14 @@ mod tests {
         let lam = vec![1.0; 4];
         let good = CbmfPrior::with_toeplitz_r(lam.clone(), 2, 0.9, 0.1).unwrap();
         let bad = CbmfPrior::with_toeplitz_r(lam, 2, 0.9, 5.0).unwrap();
-        let l_good = MapPosterior.neg_log_marginal(&problem, &good).unwrap();
-        let l_bad = MapPosterior.neg_log_marginal(&problem, &bad).unwrap();
+        let l_good = MapPosterior
+            .solve_moments(&problem, &good)
+            .unwrap()
+            .neg_log_marginal;
+        let l_bad = MapPosterior
+            .solve_moments(&problem, &bad)
+            .unwrap()
+            .neg_log_marginal;
         assert!(l_good < l_bad, "{l_good} !< {l_bad}");
     }
 

@@ -101,19 +101,31 @@ proptest! {
         prop_assert!(c_hi.fro_norm() <= c_lo.fro_norm() + 1e-12);
     }
 
-    /// The negative log marginal likelihood is finite and the posterior
-    /// moments have the documented shapes for any valid prior.
+    /// The negative log marginal likelihood is finite, the posterior
+    /// moments have the documented shapes, every `T_m` is bitwise
+    /// symmetric, and `Tr(DΣpDᵀ) = σ0²·(NK − σ0²·Tr C⁻¹)` lies in
+    /// `[0, σ0²·NK]` for any valid prior.
     #[test]
     fn moments_shapes_hold(problem in problem_strategy(), r0 in 0.0f64..0.99) {
         let k = problem.num_states();
         let m = problem.num_basis();
-        let prior = CbmfPrior::with_toeplitz_r(vec![0.5; m], k, r0, 0.3).expect("prior");
+        let sigma0 = 0.3;
+        let prior = CbmfPrior::with_toeplitz_r(vec![0.5; m], k, r0, sigma0).expect("prior");
         let mom = MapPosterior.solve_moments(&problem, &prior).expect("solve");
         prop_assert_eq!(mom.coeffs.shape(), (k, m));
-        prop_assert_eq!(mom.mean_blocks.shape(), (m, k));
-        prop_assert_eq!(mom.sigma_blocks.len(), m);
+        prop_assert_eq!(mom.t_blocks.len(), m);
+        for t in &mom.t_blocks {
+            let t = t.as_ref().expect("every basis is active");
+            prop_assert_eq!(t.shape(), (k, k));
+            for a in 0..k {
+                for b in 0..a {
+                    prop_assert_eq!(t[(a, b)].to_bits(), t[(b, a)].to_bits());
+                }
+            }
+        }
         prop_assert!(mom.neg_log_marginal.is_finite());
         prop_assert!(mom.resid_trace >= 0.0);
+        prop_assert!(mom.resid_trace <= sigma0 * sigma0 * mom.total_samples as f64);
         prop_assert!(mom.resid_norm_sq >= 0.0);
     }
 

@@ -126,7 +126,10 @@ fn driver(
     if ws.reused {
         WORKSPACE_REUSES.inc();
     }
-    let pb_buf = ws.slot(PB_SLOT, cfg.kc * cfg.nc);
+    // One packed B slab is at most KC × NC; a shallower or narrower product
+    // grows the pooled buffer only to its own slab size, so one paper-scale
+    // product does not pin a full KC × NC panel for the rest of the process.
+    let pb_buf = ws.slot(PB_SLOT, cfg.kc.min(k) * cfg.nc.min(n.div_ceil(NR) * NR));
     for jc in (0..n).step_by(cfg.nc) {
         let nc_eff = cfg.nc.min(n - jc);
         // For the SYRK, row panels entirely above the diagonal chunk have no

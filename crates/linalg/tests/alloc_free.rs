@@ -69,7 +69,7 @@ fn blocked_gemm_and_syrk_allocate_nothing_in_steady_state() {
     cbmf_parallel::with_threads(1, || {
         with_config(cfg, || {
             // Warm-up: first calls may grow the pooled packing buffers to
-            // the configured MC·KC / KC·NC panel sizes.
+            // the panel sizes these shapes need (at most MC·KC / KC·NC).
             a.matmul_into(&b, &mut prod).expect("shapes");
             a.matmul_t_into(&b, &mut prod).expect("shapes");
             a.gram_into(&mut gram).expect("shapes");
